@@ -35,29 +35,22 @@ from .dataio import (
 )
 from .estimator import (
     FlatSpectrumError,
-    GapDiagnostic,
     MomentCheck,
     StveConfig,
     StveEstimate,
     estimate,
-    gap_diagnostic,
     moment_equation_check,
     truncation_size,
 )
-from .kalman import KalmanConfig, KalmanTrajectory, predict_next, run_filter
+from .kalman import KalmanConfig, KalmanTrajectory, run_filter
 from .operators import (
     NormSummary,
     RegressionDataset,
-    apply_block_summation,
-    apply_observation,
-    apply_summation,
-    dense_system_matrix,
     difference_spectrum,
     filter_rows,
     gram_matrix,
     norm_summary,
     select_rows,
-    system_hs_norm_sq,
 )
 from .simulator import (
     NOISE_FAMILIES,
@@ -80,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CsvFormatError",
     "FlatSpectrumError",
-    "GapDiagnostic",
     "GramSpectrum",
     "KalmanConfig",
     "KalmanTrajectory",
@@ -98,22 +90,16 @@ __all__ = [
     "SpectralFunctionals",
     "StveConfig",
     "StveEstimate",
-    "apply_block_summation",
-    "apply_observation",
-    "apply_summation",
-    "dense_system_matrix",
     "difference_spectrum",
     "eigendecompose",
     "estimate",
     "filter_rows",
     "functionals",
-    "gap_diagnostic",
     "gram_matrix",
     "mle_fit",
     "moment_equation_check",
     "norm_summary",
     "online_gradient_run",
-    "predict_next",
     "quadratic_features",
     "quadratic_forms",
     "read_csv",
@@ -124,7 +110,6 @@ __all__ = [
     "split_and_normalize",
     "split_dataset",
     "stationary_regression",
-    "system_hs_norm_sq",
     "truncation_size",
     "tune_learning_rate",
     "write_csv",

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: estimate, simulate, benchmark, filter, spectrum.  Exit codes:
-0 success, 1 unreadable or malformed input, 2 numerical/model errors,
-3 invalid arguments.  Output tables are plot-ready CSV whose first line is a
-'#' comment carrying the run manifest (deterministic fields only, so repeated
-runs with the same seed are byte-identical); wall-clock duration goes to
-stderr.  STVE_THREADS caps the benchmark's worker processes.
+0 success, 1 unreadable or malformed input, 2 numerical/model errors or out
+of memory, 3 invalid arguments.  Output tables are plot-ready CSV whose first
+line is a '#' comment carrying the run manifest (deterministic fields only, so
+repeated runs with the same seed are byte-identical); wall-clock duration goes
+to stderr.  STVE_THREADS caps the benchmark's worker processes.
 """
 from __future__ import annotations
 
@@ -694,6 +694,9 @@ def main(argv=None) -> int:
         return 1
     except (np.linalg.LinAlgError, FloatingPointError, ValueError, RuntimeError, OverflowError, ZeroDivisionError) as exc:
         print(f"stve: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"stve: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -4,6 +4,7 @@ CSV schema: header row, comma-delimited, UTF-8.  Columns are an optional
 integer index column "t" (strictly increasing, 1-based), the response column
 "y", then feature columns "u_1" ... "u_n" in order.  An empty y cell (or the
 token "nan", any case) marks a missing response; every u cell is required.
+Any other non-finite value (inf, or nan in a u cell) is malformed input.
 Lines starting with '#' are comments and are skipped, which is where run
 manifests live in files written by the CLI.
 """
@@ -43,6 +44,8 @@ def _parse_float(cell: str, what: str, line: int) -> float:
         value = float(cell)
     except ValueError:
         raise CsvFormatError(f"cannot parse {what} value {cell!r}", line) from None
+    if not math.isfinite(value):
+        raise CsvFormatError(f"{what} value {cell!r} is not finite", line)
     return value
 
 

@@ -34,11 +34,9 @@ __all__ = [
     "StveConfig",
     "StveEstimate",
     "MomentCheck",
-    "GapDiagnostic",
     "truncation_size",
     "estimate",
     "moment_equation_check",
-    "gap_diagnostic",
 ]
 
 # Below this excess over 1 the two moment identities are numerically identical
@@ -81,7 +79,10 @@ class StveEstimate:
     """Estimator output: final (clamped) and raw variance estimates plus diagnostics.
 
     gap_lower_bound is the structural lower-bound proxy for the gap built from
-    row-norm extremes; warnings collects stability and clamping notes.
+    row-norm extremes, (min_t |sum_j u_tj| / (n max_t ||u_t||)) times the mean
+    inverse-eigenvalue mass; it is stated for the quarter truncation
+    p = ceil(T'/4), so read it as indicative for other alpha.  warnings
+    collects stability and clamping notes.
     """
 
     sigma2: float
@@ -101,13 +102,6 @@ def truncation_size(effective_horizon: int, alpha: float) -> int:
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must be in (0, 1]")
     return int(math.ceil(alpha * effective_horizon))
-
-
-def _structural_gap_bound(filtered: RegressionDataset, pinv_hs_sq: float) -> float:
-    summary = norm_summary(filtered)
-    return (summary.u_tilde_min / (filtered.dim * summary.u_max_norm)) * (
-        pinv_hs_sq / filtered.horizon
-    )
 
 
 def estimate(dataset: RegressionDataset, config: StveConfig | None = None) -> StveEstimate:
@@ -167,9 +161,10 @@ def estimate(dataset: RegressionDataset, config: StveConfig | None = None) -> St
             "estimates may be unstable"
         )
 
-    summary_bound = _structural_gap_bound(filtered, funcs.pinv_hs_sq)
-    # Debug-build sanity: the pseudo-inverse HS mass respects the row-norm bound.
-    assert funcs.pinv_hs_sq <= 4.0 * effective / norm_summary(filtered).u_min_norm ** 2 * (1 + 1e-9)
+    summary = norm_summary(filtered)
+    gap_lower_bound = (summary.u_tilde_min / (filtered.dim * summary.u_max_norm)) * (
+        funcs.pinv_hs_sq / effective
+    )
 
     return StveEstimate(
         sigma2=float(sigma2),
@@ -178,7 +173,7 @@ def estimate(dataset: RegressionDataset, config: StveConfig | None = None) -> St
         eta2_raw=float(eta2_raw),
         functionals=funcs,
         effective_T=effective,
-        gap_lower_bound=float(summary_bound),
+        gap_lower_bound=float(gap_lower_bound),
         warnings=tuple(warnings),
     )
 
@@ -258,34 +253,4 @@ def moment_equation_check(
         replications=int(replications),
         p=int(p),
         effective_T=effective,
-    )
-
-
-@dataclass(frozen=True)
-class GapDiagnostic:
-    """Measured gap ratio against its structural lower-bound proxy."""
-
-    gap_ratio: float
-    structural_bound: float
-    satisfied: bool
-
-
-def gap_diagnostic(
-    dataset: RegressionDataset,
-    funcs: SpectralFunctionals,
-    gap_warn_threshold: float = 0.05,
-    min_row_norm: float = DEFAULT_MIN_ROW_NORM,
-) -> GapDiagnostic:
-    """Report the measured gap ratio and the structural bound from row norms.
-
-    The structural bound (min_t |sum_j u_tj| / (n max_t ||u_t||)) times the
-    mean inverse-eigenvalue mass is stated for the quarter truncation
-    p = ceil(T'/4); callers using other p should read it as indicative only.
-    """
-    filtered, _dropped = filter_rows(dataset, min_row_norm)
-    bound = _structural_gap_bound(filtered, funcs.pinv_hs_sq)
-    return GapDiagnostic(
-        gap_ratio=funcs.gap_ratio,
-        structural_bound=float(bound),
-        satisfied=bool(funcs.gap_ratio >= 1.0 + gap_warn_threshold),
     )

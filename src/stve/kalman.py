@@ -1,15 +1,17 @@
 """Kalman filter for the random-walk regression model, in filtered form.
 
-Per observed step, with prior state x and covariance C:
+The recursion keeps the covariance isotropic, C_t = c_t I, and carries only
+the scale c_t.  Per observed step, with prior state x and scale c:
 
-    C_next = eta^2 / (<(C + sigma^2 I) u, u> + eta^2) * (C + sigma^2 I)
-    x_next = x + (C_next / eta^2) u (y - <x, u>)
+    prior  = c + sigma^2
+    s      = prior ||u||^2 + eta^2          (innovation variance)
+    c_next = (eta^2 / s) prior
+    x_next = x + (prior / s) u (y - <x, u>)
 
-The covariance update is a positive scalar times a PSD matrix, so symmetry
-and positive semidefiniteness are preserved by construction.  Missing steps
-propagate only: the covariance inflates by sigma^2 I and the state is
-unchanged.  The log-likelihood accumulates Gaussian innovation terms over the
-observed steps, with innovation variance <(C + sigma^2 I) u, u> + eta^2.
+This is the exact Kalman update only for n = 1; for n > 1 the exact
+posterior covariance is not a multiple of I.  Missing steps propagate only:
+the scale grows by sigma^2 and the state is unchanged.  The log-likelihood
+accumulates Gaussian innovation terms over the observed steps.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .operators import RegressionDataset
 
-__all__ = ["KalmanConfig", "KalmanTrajectory", "run_filter", "predict_next"]
+__all__ = ["KalmanConfig", "KalmanTrajectory", "run_filter"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,17 +57,23 @@ class KalmanConfig:
 class KalmanTrajectory:
     """Filter output over the full horizon.
 
-    states[t] and covariances[t] are the filtered state and covariance after
-    step t.  predictions[t] is the one-step-ahead mean <x_{t-1}, u_t>, defined
-    at every step; innovations[t] is y_t minus that mean, NaN at missing
-    steps.  loglik sums the Gaussian innovation terms of the observed steps.
+    states[t] is the filtered state after step t and scales[t] the scale of
+    its covariance, scales[t] * I.  predictions[t] is the one-step-ahead mean
+    <x_{t-1}, u_t>, defined at every step; innovations[t] is y_t minus that
+    mean, NaN at missing steps.  loglik sums the Gaussian innovation terms of
+    the observed steps.
     """
 
     states: np.ndarray
-    covariances: np.ndarray
+    scales: np.ndarray
     predictions: np.ndarray
     innovations: np.ndarray
     loglik: float
+
+    @property
+    def covariances(self) -> np.ndarray:
+        """The filtered covariances as (T, n, n) matrices, scales[t] * I."""
+        return self.scales[:, None, None] * np.eye(self.states.shape[1])
 
 
 def run_filter(dataset: RegressionDataset, config: KalmanConfig) -> KalmanTrajectory:
@@ -78,22 +86,21 @@ def run_filter(dataset: RegressionDataset, config: KalmanConfig) -> KalmanTrajec
         if config.x0.shape[0] != dim:
             raise ValueError("x0 length does not match the dataset dimension")
         state = np.array(config.x0)
-    cov = config.c0_scale * np.eye(dim)
-    process = config.sigma2 * np.eye(dim)
-    eta2 = config.eta2
+    scale = config.c0_scale
+    sigma2, eta2 = config.sigma2, config.eta2
 
     states = np.empty((horizon, dim))
-    covariances = np.empty((horizon, dim, dim))
+    scales = np.empty(horizon)
     predictions = np.empty(horizon)
     innovations = np.full(horizon, np.nan)
     loglik = 0.0
 
     for t in range(horizon):
         u = dataset.u[t]
-        prior_cov = cov + process
+        prior = scale + sigma2
         predictions[t] = state @ u
         if dataset.observed[t]:
-            weighted = prior_cov @ u
+            weighted = prior * u
             innovation_var = float(weighted @ u) + eta2
             if not (np.isfinite(innovation_var) and innovation_var > 0.0):
                 raise FloatingPointError(
@@ -101,36 +108,25 @@ def run_filter(dataset: RegressionDataset, config: KalmanConfig) -> KalmanTrajec
                 )
             residual = dataset.y[t] - predictions[t]
             innovations[t] = residual
-            cov = (eta2 / innovation_var) * prior_cov
-            # The gain (C_next / eta^2) u collapses to weighted / innovation_var.
+            scale = (eta2 / innovation_var) * prior
+            # The gain (c_next / eta^2) u collapses to weighted / innovation_var.
             state = state + (residual / innovation_var) * weighted
             loglik -= 0.5 * (
                 math.log(2.0 * math.pi * innovation_var) + residual * residual / innovation_var
             )
         else:
-            cov = prior_cov
+            scale = prior
         states[t] = state
-        covariances[t] = cov
+        scales[t] = scale
 
     if not (np.all(np.isfinite(states)) and np.isfinite(loglik)):
         raise FloatingPointError("filter recursion produced non-finite values")
-    for arr in (states, covariances, predictions, innovations):
+    for arr in (states, scales, predictions, innovations):
         arr.setflags(write=False)
     return KalmanTrajectory(
         states=states,
-        covariances=covariances,
+        scales=scales,
         predictions=predictions,
         innovations=innovations,
         loglik=float(loglik),
     )
-
-
-def predict_next(state: np.ndarray, u_next: np.ndarray) -> float:
-    """One-step-ahead mean <state, u_next> for a caller-supplied next vector."""
-    s = np.asarray(state, dtype=np.float64).reshape(-1)
-    u = np.asarray(u_next, dtype=np.float64).reshape(-1)
-    if s.shape != u.shape:
-        raise ValueError("state and u_next must have the same length")
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(u))):
-        raise ValueError("state and u_next must be finite")
-    return float(s @ u)

@@ -8,8 +8,8 @@ whose Gram matrix has the closed form
     G[s, t] = min(time_s, time_t) * <u_s, u_t>.
 
 Everything downstream (spectra, estimator functionals) is computed from this
-T' x T' Gram matrix; the T' x (T*n) system matrix itself is only ever
-materialized on a small debug path.  Row deletion (missing observations,
+T' x T' Gram matrix; the T' x (T*n) system matrix itself is never
+materialized.  Row deletion (missing observations,
 negligible-norm rows) keeps the original 1-based time labels, so deleting a
 row never re-times the walk.
 """
@@ -23,23 +23,14 @@ __all__ = [
     "DEFAULT_MIN_ROW_NORM",
     "RegressionDataset",
     "NormSummary",
-    "apply_summation",
-    "apply_block_summation",
-    "apply_observation",
     "gram_matrix",
-    "system_hs_norm_sq",
     "difference_spectrum",
     "norm_summary",
     "filter_rows",
     "select_rows",
-    "dense_system_matrix",
 ]
 
 DEFAULT_MIN_ROW_NORM = 1e-8
-
-# The dense system matrix is quadratic in the horizon and exists only so that
-# small instances can be checked against brute force.
-_DENSE_MAX_TIME = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,39 +135,6 @@ def norm_summary(dataset: RegressionDataset) -> NormSummary:
     )
 
 
-def apply_summation(values: np.ndarray) -> np.ndarray:
-    """Prefix sums of a 1-D sequence: out[t] = values[0] + ... + values[t]."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] < 1:
-        raise ValueError("expected a non-empty 1-D array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("input contains non-finite entries")
-    return np.cumsum(arr)
-
-
-def apply_block_summation(values: np.ndarray, dim: int) -> np.ndarray:
-    """Per-coordinate prefix sums of a flat sequence of length-`dim` blocks."""
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if dim < 1 or arr.shape[0] % dim != 0:
-        raise ValueError("length must be a positive multiple of dim")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("input contains non-finite entries")
-    return np.cumsum(arr.reshape(-1, dim), axis=0).reshape(-1)
-
-
-def apply_observation(dataset: RegressionDataset, x: np.ndarray) -> np.ndarray:
-    """Blockwise inner products <u_t, x block t> over the observed rows.
-
-    x holds one length-`dim` block per observed row.
-    """
-    rows = dataset.u[dataset.observed]
-    count, dim = rows.shape
-    arr = np.asarray(x, dtype=np.float64).reshape(-1)
-    if arr.shape[0] != count * dim:
-        raise ValueError(f"x must have length {count * dim} (rows x dim), got {arr.shape[0]}")
-    return np.einsum("ti,ti->t", rows, arr.reshape(count, dim))
-
-
 def _require_filtered(dataset: RegressionDataset) -> None:
     if not bool(dataset.observed.all()):
         raise ValueError("dataset has unobserved rows; apply filter_rows first")
@@ -194,13 +152,6 @@ def gram_matrix(dataset: RegressionDataset) -> np.ndarray:
     _require_filtered(dataset)
     times = dataset.time_index.astype(np.float64)
     return np.minimum.outer(times, times) * (dataset.u @ dataset.u.T)
-
-
-def system_hs_norm_sq(dataset: RegressionDataset) -> float:
-    """Squared Hilbert-Schmidt norm of the system operator: sum_t time_t * ||u_t||^2."""
-    _require_filtered(dataset)
-    times = dataset.time_index.astype(np.float64)
-    return float(np.sum(times * np.sum(dataset.u * dataset.u, axis=1)))
 
 
 def difference_spectrum(horizon: int) -> np.ndarray:
@@ -240,23 +191,3 @@ def filter_rows(
         raise ValueError("fewer than 2 rows remain after row filtering")
     dropped = dataset.time_index[~keep].copy()
     return select_rows(dataset, np.flatnonzero(keep)), dropped
-
-
-def dense_system_matrix(dataset: RegressionDataset) -> np.ndarray:
-    """Materialized system matrix, debug path only (time horizon <= 64).
-
-    Row a (an observed row with original time r) holds u_a in every coordinate
-    block i <= r: entry (a, (i-1)*dim + j) = u[a, j] for i <= r, else 0.
-    Multiplying the flat process-noise vector by this matrix reproduces the
-    observation means; its Gram equals gram_matrix(dataset).
-    """
-    _require_filtered(dataset)
-    max_time = int(dataset.time_index[-1])
-    if max_time > _DENSE_MAX_TIME:
-        raise ValueError(
-            f"dense materialization is a debug path, limited to time horizon {_DENSE_MAX_TIME}"
-        )
-    steps = np.arange(1, max_time + 1)
-    active = steps[None, :] <= dataset.time_index[:, None]  # (rows, max_time)
-    blocks = active[:, :, None] * dataset.u[:, None, :]  # (rows, max_time, dim)
-    return blocks.reshape(dataset.horizon, max_time * dataset.dim)

@@ -21,6 +21,24 @@ def make_dataset(rng, T, n, missing=(), y=None, u=None):
     return RegressionDataset(u=u, y=y, observed=observed)
 
 
+def dense_system_matrix(dataset):
+    """The system matrix, materialized row by row; the dense test oracle.
+
+    Row a (a row with original time r) holds u_a in every coordinate block
+    i <= r: entry (a, (i-1)*n + j) = u[a, j] for i <= r, else 0.  Multiplying
+    the flat process-noise vector by it gives the observation means, and its
+    Gram matrix is the closed form min(time_s, time_t) <u_s, u_t>.  The
+    dataset must already be row-filtered.
+    """
+    times = dataset.time_index
+    T_eff, n = dataset.u.shape
+    dense = np.zeros((T_eff, int(times[-1]) * n))
+    for a in range(T_eff):
+        for i in range(int(times[a])):
+            dense[a, i * n : (i + 1) * n] = dataset.u[a]
+    return dense
+
+
 def brute_force_pinv_quantities(dataset, y, p):
     """Quadratic forms and HS norms via the explicitly materialized system.
 
@@ -28,14 +46,7 @@ def brute_force_pinv_quantities(dataset, y, p):
     row, runs a full SVD, forms the pseudo-inverse R and its truncation R'
     (p largest singular values of R), and evaluates everything directly.
     """
-    times = dataset.time_index
-    T_eff, n = dataset.u.shape
-    max_time = int(times[-1])
-    dense = np.zeros((T_eff, max_time * n))
-    for a in range(T_eff):
-        for i in range(int(times[a])):
-            dense[a, i * n : (i + 1) * n] = dataset.u[a]
-    U, s, Vt = np.linalg.svd(dense, full_matrices=False)
+    U, s, Vt = np.linalg.svd(dense_system_matrix(dataset), full_matrices=False)
     # pseudo-inverse R = V diag(1/s) U^T; R' keeps the p largest 1/s
     chi = 1.0 / s
     R = Vt.T @ np.diag(chi) @ U.T

@@ -202,6 +202,36 @@ def test_missing_file_exits_1(tmp_path):
     assert code == 1
 
 
+def _oom(_dataset):
+    raise MemoryError("Unable to allocate 7.45 TiB for an array")
+
+
+@pytest.mark.parametrize(
+    "argv, line_3, patch, code, message",
+    [
+        (["estimate"], "2,inf,1.0,-1.0", None, 1, "line 3: y value 'inf' is not finite"),
+        (["estimate"], "2,-inf,1.0,-1.0", None, 1, "line 3: y value '-inf' is not finite"),
+        (["filter", "--baseline", "stationary"], "2,0.2,1.0,nan", None, 1, "line 3: u_2 value 'nan'"),
+        (["filter", "--baseline", "stationary"], "2,0.2,inf,-1.0", None, 1, "line 3: u_1 value 'inf'"),
+        (["estimate"], None, "stve.estimator.gram_matrix", 2, "out of memory"),
+        (["spectrum"], None, "stve.cli.gram_matrix", 2, "out of memory"),
+    ],
+)
+def test_failure_exit_codes(tmp_path, monkeypatch, argv, line_3, patch, code, message):
+    lines = ["t,y,u_1,u_2"] + [f"{t},{0.1 * t!r},1.0,{-0.5 * t!r}" for t in range(1, 9)]
+    if line_3 is not None:
+        lines[2] = line_3
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(lines) + "\n")
+    if patch is not None:
+        monkeypatch.setattr(patch, _oom)
+    exit_code, out, err = run_cli(argv + ["--input", str(path)])
+    assert exit_code == code
+    assert out == ""
+    assert message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_flat_spectrum_exits_2(tmp_path):
     path = tmp_path / "flat.csv"
     path.write_text(FLAT_CSV)

@@ -11,7 +11,6 @@ from stve import (
     estimate,
     filter_rows,
     functionals,
-    gap_diagnostic,
     gram_matrix,
     moment_equation_check,
     quadratic_forms,
@@ -236,17 +235,20 @@ class TestGapDiagnostic:
         # about 1.90 from T = 5 up (computed directly; it never reaches 2)
         T = 100
         ds = RegressionDataset(u=np.ones((T, 1)), y=np.zeros(T))
-        spec = eigendecompose(gram_matrix(ds))
-        funcs = functionals(spec, truncation_size(T, 0.25))
-        diag = gap_diagnostic(ds, funcs)
-        assert diag.gap_ratio > 1.8
-        assert diag.structural_bound > 0.0
-        assert diag.satisfied
+        result = estimate(ds)
+        funcs = result.functionals
+        assert funcs.gap_ratio > 1.8
+        assert funcs.gap_ratio >= 1.0 + StveConfig().gap_warn_threshold
+        assert not any("gap ratio" in w for w in result.warnings)
+        assert result.gap_lower_bound > 0.0
         # with n = 1 and unit rows the bound collapses to the mean inverse mass
-        assert diag.structural_bound == pytest.approx(funcs.pinv_hs_sq / T, rel=1e-12)
+        assert result.gap_lower_bound == pytest.approx(funcs.pinv_hs_sq / T, rel=1e-12)
 
     def test_estimate_reports_same_bound(self, rng):
+        # the reported bound is the row-norm formula
+        # min_t |sum_j u_tj| / (n max_t ||u_t||) times the mean inverse mass
         ds = make_dataset(rng, 60, 2)
         result = estimate(ds)
-        diag = gap_diagnostic(ds, result.functionals)
-        assert result.gap_lower_bound == pytest.approx(diag.structural_bound, rel=1e-12)
+        ratio = np.abs(ds.u.sum(axis=1)).min() / (2 * np.linalg.norm(ds.u, axis=1).max())
+        expected = ratio * result.functionals.pinv_hs_sq / 60
+        assert result.gap_lower_bound == pytest.approx(expected, rel=1e-12)

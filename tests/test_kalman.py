@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stve import KalmanConfig, RegressionDataset, predict_next, run_filter
+from stve import KalmanConfig, RegressionDataset, run_filter
 
 from conftest import make_dataset
 
@@ -179,20 +179,21 @@ class TestFilterBehavior:
             run_filter(ds, KalmanConfig(sigma2=1.0, eta2=1.0))
 
 
-class TestPredictNext:
-    def test_zero_state(self):
-        assert predict_next(np.zeros(3), np.ones(3)) == 0.0
-
-    def test_inner_product(self):
-        assert predict_next(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == pytest.approx(11.0)
-
-    def test_dimension_mismatch(self):
+    def test_scales_are_the_isotropic_covariances(self, rng):
+        ds = make_dataset(rng, 20, 3, missing=(5, 6, 13))
+        trajectory = run_filter(ds, KalmanConfig(sigma2=0.3, eta2=0.8))
+        assert trajectory.scales.shape == (20,)
         with pytest.raises(ValueError):
-            predict_next(np.zeros(2), np.zeros(3))
+            trajectory.scales[0] = 1.0
+        expected = trajectory.scales[:, None, None] * np.eye(3)
+        assert np.array_equal(trajectory.covariances, expected)
 
+
+class TestPredictNext:
     def test_matches_recorded_predictions(self, rng):
+        # the one-step prediction is <x_{t-1}, u_t> from the recorded states
         ds = make_dataset(rng, 15, 2)
         trajectory = run_filter(ds, KalmanConfig(sigma2=0.2, eta2=0.9))
         for t in range(1, 15):
-            replay = predict_next(trajectory.states[t - 1], ds.u[t])
+            replay = float(trajectory.states[t - 1] @ ds.u[t])
             assert replay == pytest.approx(trajectory.predictions[t], rel=1e-12, abs=1e-12)

@@ -3,19 +3,14 @@ import pytest
 
 from stve import (
     RegressionDataset,
-    apply_block_summation,
-    apply_observation,
-    apply_summation,
-    dense_system_matrix,
     difference_spectrum,
     filter_rows,
     gram_matrix,
     norm_summary,
     select_rows,
-    system_hs_norm_sq,
 )
 
-from conftest import make_dataset
+from conftest import dense_system_matrix, make_dataset
 
 
 class TestRegressionDataset:
@@ -62,51 +57,6 @@ class TestRegressionDataset:
             RegressionDataset(u=np.ones((2, 1)), y=np.zeros(2), time_index=[0, 1])
 
 
-class TestApplySummation:
-    def test_ones(self):
-        assert np.array_equal(apply_summation([1.0, 1.0, 1.0]), [1.0, 2.0, 3.0])
-
-    def test_zeros(self):
-        assert np.array_equal(apply_summation([0.0, 0.0, 0.0]), [0.0, 0.0, 0.0])
-
-    def test_mixed(self):
-        assert np.array_equal(apply_summation([2.0, -1.0, 3.0]), [2.0, 1.0, 4.0])
-
-    def test_first_difference_inverts(self, rng):
-        h = rng.normal(size=40)
-        out = apply_summation(h)
-        rec = np.diff(out, prepend=0.0)
-        assert np.allclose(rec, h, rtol=0, atol=1e-12)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            apply_summation([1.0, np.inf])
-
-    def test_block_version_per_coordinate(self, rng):
-        h = rng.normal(size=(5, 3))
-        out = apply_block_summation(h.reshape(-1), 3).reshape(5, 3)
-        assert np.allclose(out, np.cumsum(h, axis=0), atol=1e-15)
-
-
-class TestApplyObservation:
-    def test_scalar_ones(self):
-        ds = make_dataset(np.random.default_rng(0), 3, 1, u=np.ones((3, 1)))
-        assert np.array_equal(apply_observation(ds, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
-
-    def test_coordinate_selection(self):
-        ds = RegressionDataset(u=np.array([[1.0, 0.0], [0.0, 1.0]]), y=np.zeros(2))
-        assert np.array_equal(apply_observation(ds, [3.0, 4.0, 5.0, 6.0]), [3.0, 6.0])
-
-    def test_uniform_scaling(self):
-        ds = RegressionDataset(u=np.full((2, 1), 2.0), y=np.zeros(2))
-        assert np.array_equal(apply_observation(ds, [1.0, 1.0]), [2.0, 2.0])
-
-    def test_dimension_mismatch(self):
-        ds = RegressionDataset(u=np.ones((2, 2)), y=np.zeros(2))
-        with pytest.raises(ValueError):
-            apply_observation(ds, [1.0, 2.0, 3.0])
-
-
 class TestGramMatrix:
     def test_two_step_scalar_example(self):
         ds = RegressionDataset(u=np.ones((2, 1)), y=np.zeros(2))
@@ -148,32 +98,32 @@ class TestGramMatrix:
         assert np.allclose(gram_matrix(reduced), G_full[np.ix_(keep, keep)], atol=1e-12)
 
     def test_dense_consistent_with_operator_composition(self, rng):
-        # multiplying the dense matrix equals summation followed by observation
+        # the dense oracle applies the per-coordinate prefix sum of the
+        # process-noise steps, then the inner product with each kept row
         ds = make_dataset(rng, 9, 2, missing=(3, 7))
         filtered, _ = filter_rows(ds)
         max_time = int(filtered.time_index[-1])
         h = rng.normal(size=max_time * filtered.dim)
-        paths = apply_block_summation(h, filtered.dim).reshape(max_time, filtered.dim)
-        x = paths[filtered.time_index - 1].reshape(-1)
+        paths = np.cumsum(h.reshape(max_time, filtered.dim), axis=0)
+        means = np.einsum("ti,ti->t", filtered.u, paths[filtered.time_index - 1])
         dense = dense_system_matrix(filtered)
-        assert np.allclose(dense @ h, apply_observation(filtered, x), atol=1e-12)
-
-    def test_dense_horizon_cap(self):
-        ds = RegressionDataset(u=np.ones((65, 1)), y=np.zeros(65))
-        with pytest.raises(ValueError):
-            dense_system_matrix(ds)
+        assert np.allclose(dense @ h, means, atol=1e-12)
 
 
 class TestSystemHsNorm:
+    # The squared Hilbert-Schmidt norm of the system operator is the trace of
+    # its Gram matrix.
     def test_three_ones(self):
         ds = RegressionDataset(u=np.ones((3, 1)), y=np.zeros(3))
-        assert system_hs_norm_sq(ds) == pytest.approx(6.0, abs=1e-15)
+        assert float(np.trace(gram_matrix(ds))) == pytest.approx(6.0, abs=1e-15)
 
     def test_equals_gram_trace(self, rng):
-        ds = make_dataset(rng, 15, 3)
-        assert system_hs_norm_sq(ds) == pytest.approx(
-            float(np.trace(gram_matrix(ds))), rel=1e-12
-        )
+        # closed form sum_t time_t ||u_t||^2, here with relabelled times
+        ds = make_dataset(rng, 15, 3, missing=(4, 9))
+        filtered, _ = filter_rows(ds)
+        times = filtered.time_index.astype(float)
+        closed = float(np.sum(times * np.sum(filtered.u**2, axis=1)))
+        assert closed == pytest.approx(float(np.trace(gram_matrix(filtered))), rel=1e-12)
 
     @pytest.mark.parametrize("trial", range(5))
     def test_norm_sandwich(self, trial):
@@ -181,7 +131,7 @@ class TestSystemHsNorm:
         T = int(rng.integers(5, 60))
         ds = make_dataset(rng, T, int(rng.integers(1, 4)))
         ns = norm_summary(ds)
-        hs = system_hs_norm_sq(ds)
+        hs = float(np.trace(gram_matrix(ds)))
         assert hs >= 0.25 * ns.u_min_norm**2 * T**2 - 1e-12
         # exact discrete upper bound: sum of t over t<=T is T(T+1)/2
         assert hs <= 0.5 * ns.u_max_norm**2 * T * (T + 1) + 1e-12

@@ -84,6 +84,8 @@ class TestEigendecompose:
         assert sv[-1] >= 0.5 * ns.u_min_norm - 1e-9
         # operator norm of the pseudo-inverse
         assert 1.0 / sv[-1] <= 2.0 / ns.u_min_norm + 1e-9
+        # summed over all T eigenvalues: the squared HS norm of the pseudo-inverse
+        assert np.sum(1.0 / sv**2) <= 4.0 * T / ns.u_min_norm**2 * (1 + 1e-9)
 
 
 class TestInversePrefixSumSandwich:
