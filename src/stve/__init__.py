@@ -26,10 +26,7 @@ from .baselines import (
 )
 from .dataio import (
     CsvFormatError,
-    NormalizationParams,
-    quadratic_features,
     read_csv,
-    split_and_normalize,
     split_dataset,
     write_csv,
 )
@@ -81,7 +78,6 @@ __all__ = [
     "NOISE_FAMILIES",
     "NoiseSpec",
     "NormSummary",
-    "NormalizationParams",
     "OnlineGradientConfig",
     "OnlineGradientRun",
     "RegressionDataset",
@@ -100,14 +96,12 @@ __all__ = [
     "moment_equation_check",
     "norm_summary",
     "online_gradient_run",
-    "quadratic_features",
     "quadratic_forms",
     "read_csv",
     "replicate",
     "run_filter",
     "select_rows",
     "simulate",
-    "split_and_normalize",
     "split_dataset",
     "stationary_regression",
     "truncation_size",

@@ -138,16 +138,10 @@ def tune_learning_rate(
         except RuntimeError:
             return math.inf
 
-    best_x, best_f = lo, sse(lo)
-    val = sse(hi)
-    if val < best_f:
-        best_x, best_f = hi, val
-
-    grid = np.linspace(lo, hi, 101)
+    grid = np.linspace(lo, hi, 101)  # includes lo and hi
     grid_vals = np.array([sse(a) for a in grid])
     k = int(np.argmin(grid_vals))
-    if grid_vals[k] < best_f:
-        best_x, best_f = float(grid[k]), float(grid_vals[k])
+    best_x, best_f = float(grid[k]), float(grid_vals[k])
     x, v = _golden_section(sse, grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)], tol)
     if v < best_f:
         best_x, best_f = x, v

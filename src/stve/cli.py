@@ -1,26 +1,25 @@
 """Command-line front end.
 
 Subcommands: estimate, simulate, benchmark, filter, spectrum.  Exit codes:
-0 success, 1 unreadable or malformed input, 2 numerical/model errors or out
-of memory, 3 invalid arguments.  Output tables are plot-ready CSV whose first
-line is a '#' comment carrying the run manifest (deterministic fields only, so
+0 success, 1 unreadable, malformed or non-UTF-8 input, 2 numerical/model
+errors or out of memory, 3 invalid arguments or option values (checked
+before any work starts).  Output tables are plot-ready CSV whose first line
+is a '#' comment carrying the run manifest (deterministic fields only, so
 repeated runs with the same seed are byte-identical); wall-clock duration goes
 to stderr.  STVE_THREADS caps the benchmark's worker processes.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
-import io
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from functools import partial
-from typing import IO
 
 import numpy as np
 
@@ -33,13 +32,13 @@ from .baselines import (
     tune_learning_rate,
 )
 from .dataio import CsvFormatError, read_csv, split_dataset, write_csv
-from .estimator import StveConfig, estimate, truncation_size
+from .estimator import StveConfig, estimate
 from .kalman import KalmanConfig, run_filter
 from .operators import filter_rows, gram_matrix
-from .simulator import NOISE_FAMILIES, SimulationConfig, replicate, simulate as run_simulation
+from .simulator import NOISE_FAMILIES, SimulationConfig, benchmark_table, simulate as run_simulation
 from .spectral import eigendecompose
 
-__all__ = ["main", "benchmark_table"]
+__all__ = ["main"]
 
 _BENCHMARK_DEFAULTS = {
     "sigma2": 0.5,
@@ -72,76 +71,59 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class RunManifest:
-    subcommand: str
-    config: dict
-    config_hash: str
-    version: str
-    input_digest: str | None
-
-    def as_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "input_digest": self.input_digest,
-        }
-
-    def comment(self) -> str:
-        return "manifest " + json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+def _checked(factory, **kwargs):
+    """Build a library config object; a ValueError from its checks is a usage error."""
+    try:
+        return factory(**kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
-def _config_hash(config: dict) -> str:
-    payload = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+def _comment(label: str, payload: dict) -> str:
+    return label + " " + json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _file_digest(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return "sha256:" + digest.hexdigest()
+def _manifest(subcommand: str, config: dict, input_digest: str | None = None) -> dict:
+    """Run manifest: deterministic fields only, so reruns are byte-identical."""
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return {
+        "subcommand": subcommand,
+        "config": config,
+        "config_hash": hashlib.sha256(canonical).hexdigest(),
+        "version": __version__,
+        "input_digest": input_digest,
+    }
 
 
 def _load_dataset(path: str):
-    """Read a dataset from a path or stdin ('-'); returns (dataset, digest)."""
+    """Parse a dataset from a path or stdin ('-') in one streaming pass.
+
+    Returns (dataset, digest).  The digest is the sha256 of the lines as the
+    parser reads them; newline="" keeps those equal to the file's bytes.
+    """
+    digest = hashlib.sha256()
+
+    def hashed(lines):
+        for line in lines:
+            digest.update(line.encode("utf-8"))
+            yield line
+
     if path == "-":
-        text = sys.stdin.read()
-        digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
-        return read_csv(io.StringIO(text)), digest
-    return read_csv(path), _file_digest(path)
-
-
-def _manifest(subcommand: str, config: dict, input_digest: str | None = None) -> RunManifest:
-    return RunManifest(
-        subcommand=subcommand,
-        config=config,
-        config_hash=_config_hash(config),
-        version=__version__,
-        input_digest=input_digest,
-    )
-
-
-def _open_output(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline="", encoding="utf-8"), True
+        dataset = read_csv(hashed(sys.stdin))
+    else:
+        with open(path, encoding="utf-8", newline="") as fh:
+            dataset = read_csv(hashed(fh))
+    return dataset, "sha256:" + digest.hexdigest()
 
 
 def _write_table(path: str | None, comments: list[str], header: list[str], rows: list[list]) -> None:
-    fh, close = _open_output(path)
-    try:
+    to_stdout = path is None or path == "-"
+    with contextlib.nullcontext(sys.stdout) if to_stdout else open(path, "w", newline="", encoding="utf-8") as fh:
         for comment in comments:
             fh.write("# " + comment + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if close:
-            fh.close()
 
 
 def _cell(value) -> str:
@@ -161,12 +143,13 @@ def _log_duration(subcommand: str, started: float) -> None:
 
 def _cmd_estimate(args) -> int:
     started = time.perf_counter()
-    dataset, digest = _load_dataset(args.input)
-    config = StveConfig(
+    config = _checked(
+        StveConfig,
         alpha=args.alpha,
         min_row_norm=args.min_row_norm,
         gap_warn_threshold=args.gap_warn,
     )
+    dataset, digest = _load_dataset(args.input)
     result = estimate(dataset, config)
     manifest = _manifest(
         "estimate",
@@ -193,12 +176,12 @@ def _cmd_estimate(args) -> int:
         "warnings": list(result.warnings),
     }
     if args.format == "json":
-        payload["manifest"] = manifest.as_dict()
+        payload["manifest"] = manifest
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         keys = [k for k in payload if k != "warnings"]
         row = [_cell(payload[k]) for k in keys] + ["; ".join(result.warnings)]
-        _write_table(None, [manifest.comment()], keys + ["warnings"], [row])
+        _write_table(None, [_comment("manifest", manifest)], keys + ["warnings"], [row])
     _log_duration("estimate", started)
     return 0
 
@@ -258,21 +241,19 @@ def _cmd_simulate(args) -> int:
         except ValueError as exc:
             raise _InputError(f"cannot parse u file: {exc}") from None
         u_kind = "array"
-    try:
-        config = SimulationConfig(
-            T=args.T,
-            n=args.n,
-            sigma2=args.sigma2,
-            eta2=args.eta2,
-            noise_family=args.noise,
-            u_kind=u_kind,
-            u_constant=u_constant,
-            u_matrix=u_matrix,
-            seed=args.seed,
-            missing=missing,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    config = _checked(
+        SimulationConfig,
+        T=args.T,
+        n=args.n,
+        sigma2=args.sigma2,
+        eta2=args.eta2,
+        noise_family=args.noise,
+        u_kind=u_kind,
+        u_constant=u_constant,
+        u_matrix=u_matrix,
+        seed=args.seed,
+        missing=missing,
+    )
     dataset, _states = run_simulation(config)
     manifest = _manifest(
         "simulate",
@@ -289,12 +270,8 @@ def _cmd_simulate(args) -> int:
             "missing": list(missing),
         },
     )
-    fh, close = _open_output(args.output)
-    try:
-        write_csv(dataset, fh, comment=manifest.comment())
-    finally:
-        if close:
-            fh.close()
+    destination = sys.stdout if args.output in (None, "-") else args.output
+    write_csv(dataset, destination, comment=_comment("manifest", manifest))
     _log_duration("simulate", started)
     return 0
 
@@ -310,65 +287,6 @@ def _stve_point_estimator(dataset, alpha=0.25):
 def _mle_point_estimator(dataset, init=(1.0, 1.0)):
     result = mle_fit(dataset, init=init)
     return result.sigma2, result.eta2
-
-
-def benchmark_table(
-    t_grid,
-    replications: int,
-    estimators: dict,
-    sigma2: float,
-    eta2: float,
-    n: int,
-    noise_family: str = "gaussian",
-    seed: int = 0,
-    max_workers: int = 1,
-):
-    """Error table over a horizon grid: one row dict per (T, estimator).
-
-    Each grid cell derives its own child seed from the base seed, shared by
-    all estimators so comparisons are paired.  Returns (rows, slopes) where
-    slopes maps estimator name to a dict with the log-log decay slope per
-    variance and a defined flag (False when a mean error is zero or not
-    finite, e.g. under a truth-returning estimator).
-    """
-    grid = [int(t) for t in t_grid]
-    children = np.random.SeedSequence(seed).spawn(len(grid))
-    rows = []
-    means: dict[str, dict[str, list[float]]] = {
-        name: {"sigma2": [], "eta2": []} for name in estimators
-    }
-    for horizon, child in zip(grid, children):
-        cell_seed = int(child.generate_state(1, np.uint64)[0])
-        config = SimulationConfig(
-            T=horizon, n=n, sigma2=sigma2, eta2=eta2, noise_family=noise_family, seed=cell_seed
-        )
-        for name, fn in estimators.items():
-            result = replicate(config, replications, fn, max_workers=max_workers)
-            rows.append(
-                {
-                    "T": horizon,
-                    "estimator": name,
-                    "mean_abs_err_sigma2": result.mean_abs_error_sigma2,
-                    "stderr_sigma2": result.stderr_sigma2,
-                    "mean_abs_err_eta2": result.mean_abs_error_eta2,
-                    "stderr_eta2": result.stderr_eta2,
-                    "replications": replications,
-                }
-            )
-            means[name]["sigma2"].append(result.mean_abs_error_sigma2)
-            means[name]["eta2"].append(result.mean_abs_error_eta2)
-    slopes: dict[str, dict] = {}
-    log_t = np.log(np.array(grid, dtype=np.float64))
-    for name in estimators:
-        slopes[name] = {}
-        for param in ("sigma2", "eta2"):
-            values = np.array(means[name][param])
-            if len(grid) >= 2 and np.all(values > 0.0) and np.all(np.isfinite(values)):
-                slope = float(np.polyfit(log_t, np.log(values), 1)[0])
-                slopes[name][param] = {"slope": slope, "defined": True}
-            else:
-                slopes[name][param] = {"slope": math.nan, "defined": False}
-    return rows, slopes
 
 
 def _resolve_benchmark_config(args) -> dict:
@@ -387,34 +305,25 @@ def _resolve_benchmark_config(args) -> dict:
             if key not in resolved:
                 raise _UsageError(f"unknown config key {key!r}")
             resolved[key] = value
-    overrides = {
-        "sigma2": args.sigma2,
-        "eta2": args.eta2,
-        "n": args.n,
-        "noise": args.noise,
-        "seed": args.seed,
-        "reps": args.reps,
-        "t_grid": args.t_grid,
-        "estimators": args.estimators,
-        "alpha": args.alpha,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            resolved[key] = value
+    for key in _BENCHMARK_DEFAULTS:  # each key is also the flag's dest
+        if getattr(args, key) is not None:
+            resolved[key] = getattr(args, key)
     if isinstance(resolved["t_grid"], str):
-        resolved["t_grid"] = [int(v) for v in resolved["t_grid"].split(",")]
-    resolved["t_grid"] = [int(v) for v in resolved["t_grid"]]
+        resolved["t_grid"] = resolved["t_grid"].split(",")
     if isinstance(resolved["estimators"], str):
         resolved["estimators"] = [v.strip() for v in resolved["estimators"].split(",") if v.strip()]
+    try:
+        resolved["t_grid"] = [int(v) for v in resolved["t_grid"]]
+        reps = int(resolved["reps"])
+    except (TypeError, ValueError):
+        raise _UsageError("T grid and reps must be integers") from None
     if len(resolved["t_grid"]) < 3:
         raise _UsageError("T grid needs at least 3 values")
-    if int(resolved["reps"]) < 2:
+    if reps < 2:
         raise _UsageError("reps must be at least 2")
     unknown = [e for e in resolved["estimators"] if e not in ("stve", "mle")]
     if unknown or not resolved["estimators"]:
         raise _UsageError("estimators must be a non-empty subset of {stve, mle}")
-    if resolved["noise"] not in NOISE_FAMILIES:
-        raise _UsageError(f"unknown noise family {resolved['noise']!r}")
     return resolved
 
 
@@ -433,20 +342,33 @@ def _worker_count() -> int:
 def _cmd_benchmark(args) -> int:
     started = time.perf_counter()
     resolved = _resolve_benchmark_config(args)
+    try:
+        alpha = StveConfig(alpha=float(resolved["alpha"])).alpha
+        seed = int(resolved["seed"])
+        # Grid cells differ only in T, so the shortest one checks them all.
+        cell = SimulationConfig(
+            T=min(resolved["t_grid"]),
+            n=int(resolved["n"]),
+            sigma2=float(resolved["sigma2"]),
+            eta2=float(resolved["eta2"]),
+            noise_family=resolved["noise"],
+        )
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(str(exc)) from None
     estimator_fns = {}
     if "stve" in resolved["estimators"]:
-        estimator_fns["stve"] = partial(_stve_point_estimator, alpha=float(resolved["alpha"]))
+        estimator_fns["stve"] = partial(_stve_point_estimator, alpha=alpha)
     if "mle" in resolved["estimators"]:
         estimator_fns["mle"] = _mle_point_estimator
     rows, slopes = benchmark_table(
         resolved["t_grid"],
         int(resolved["reps"]),
         estimator_fns,
-        sigma2=float(resolved["sigma2"]),
-        eta2=float(resolved["eta2"]),
-        n=int(resolved["n"]),
-        noise_family=resolved["noise"],
-        seed=int(resolved["seed"]),
+        sigma2=cell.sigma2,
+        eta2=cell.eta2,
+        n=cell.n,
+        noise_family=cell.noise_family,
+        seed=seed,
         max_workers=_worker_count(),
     )
     manifest = _manifest("benchmark", resolved)
@@ -480,7 +402,7 @@ def _cmd_benchmark(args) -> int:
                 str(defined).lower(),
             ]
         )
-    _write_table(args.out, [manifest.comment()], header, table)
+    _write_table(args.out, [_comment("manifest", manifest)], header, table)
     _log_duration("benchmark", started)
     return 0
 
@@ -489,6 +411,7 @@ def _cmd_benchmark(args) -> int:
 
 
 def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
+    """Centred moving average; the window is cut at both ends of the series."""
     if window < 1:
         raise ValueError("window must be at least 1")
     arr = np.asarray(values, dtype=np.float64)
@@ -497,19 +420,27 @@ def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
         return arr.copy()
     if window >= count:
         return np.full(count, float(arr.mean()))
-    half_lo = (window - 1) // 2
-    half_hi = window // 2
-    out = np.empty(count)
-    for i in range(count):
-        out[i] = arr[max(0, i - half_lo) : min(count, i + half_hi + 1)].mean()
-    return out
+    # Entry i covers arr[i - (window - 1) // 2 : i + window // 2 + 1].  Direct
+    # sums, not differences of prefix sums, which lose small values.
+    ones = np.ones(window)
+    start = window // 2
+    sums = np.convolve(arr, ones)[start : start + count]
+    sizes = np.convolve(np.ones(count), ones)[start : start + count]
+    return sums / sizes
 
 
 def _cmd_filter(args) -> int:
     started = time.perf_counter()
-    dataset, digest = _load_dataset(args.input)
     if not (0.0 < args.train_fraction < 1.0):
         raise _UsageError("--train-fraction must be in (0, 1)")
+    if args.window < 1:
+        raise _UsageError("--window must be at least 1")
+    stve_config = _checked(StveConfig, alpha=args.alpha)
+    if args.baseline == "kalman" and not args.auto:
+        if args.sigma2 is None or args.eta2 is None:
+            raise _UsageError("kalman baseline needs --sigma2 and --eta2, or --auto")
+        kalman_config = _checked(KalmanConfig, sigma2=args.sigma2, eta2=args.eta2)
+    dataset, digest = _load_dataset(args.input)
     cut = int(math.floor(args.train_fraction * dataset.horizon))
     if not (0 < cut < dataset.horizon):
         raise _UsageError("--train-fraction leaves an empty split")
@@ -524,21 +455,14 @@ def _cmd_filter(args) -> int:
     }
     if args.baseline == "kalman":
         if args.auto:
-            fitted = estimate(train, StveConfig(alpha=args.alpha))
-            sigma2 = fitted.sigma2
-            eta2 = max(fitted.eta2, _ETA2_FLOOR)
-        else:
-            if args.sigma2 is None or args.eta2 is None:
-                raise _UsageError("kalman baseline needs --sigma2 and --eta2, or --auto")
-            sigma2, eta2 = args.sigma2, args.eta2
-        resolved.update({"sigma2": sigma2, "eta2": eta2})
-        trajectory = run_filter(dataset, KalmanConfig(sigma2=sigma2, eta2=eta2))
-        predictions = np.array(trajectory.predictions)
+            fitted = estimate(train, stve_config)
+            kalman_config = KalmanConfig(sigma2=fitted.sigma2, eta2=max(fitted.eta2, _ETA2_FLOOR))
+        resolved.update({"sigma2": kalman_config.sigma2, "eta2": kalman_config.eta2})
+        predictions = run_filter(dataset, kalman_config).predictions
     elif args.baseline == "og":
         rate = tune_learning_rate(train)
         resolved.update({"learning_rate": rate})
-        run = online_gradient_run(dataset, OnlineGradientConfig(rate))
-        predictions = np.array(run.predictions)
+        predictions = online_gradient_run(dataset, OnlineGradientConfig(rate)).predictions
     else:
         coef = stationary_regression(train)
         resolved.update({"coefficients": [float(c) for c in coef]})
@@ -561,21 +485,17 @@ def _cmd_filter(args) -> int:
     }
     manifest = _manifest("filter", resolved, input_digest=digest)
     header = ["t", "y", "yhat", "sq_err", "smoothed_sq_err"]
-    rows = []
-    for k in range(dataset.horizon):
-        rows.append(
-            [
-                int(dataset.time_index[k]),
-                _cell(float(dataset.y[k])) if observed[k] else "",
-                _cell(float(predictions[k])),
-                _cell(float(sq_err[k])) if observed[k] else "",
-                _cell(float(smoothed[k])) if observed[k] else "",
-            ]
-        )
-    comments = [
-        manifest.comment(),
-        "aggregate " + json.dumps(aggregate, sort_keys=True, separators=(",", ":")),
+    rows = [
+        [
+            int(dataset.time_index[k]),
+            _cell(float(dataset.y[k])) if observed[k] else "",
+            _cell(float(predictions[k])),
+            _cell(float(sq_err[k])) if observed[k] else "",
+            _cell(float(smoothed[k])) if observed[k] else "",
+        ]
+        for k in range(dataset.horizon)
     ]
+    comments = [_comment("manifest", manifest), _comment("aggregate", aggregate)]
     _write_table(args.out, comments, header, rows)
     _log_duration("filter", started)
     return 0
@@ -586,8 +506,9 @@ def _cmd_filter(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     started = time.perf_counter()
+    config = _checked(StveConfig, min_row_norm=args.min_row_norm)
     dataset, digest = _load_dataset(args.input)
-    filtered, _dropped = filter_rows(dataset, args.min_row_norm)
+    filtered, _dropped = filter_rows(dataset, config.min_row_norm)
     spectrum = eigendecompose(gram_matrix(filtered))
     order = spectrum.order
     gamma_sq = spectrum.eigenvalues
@@ -604,7 +525,7 @@ def _cmd_spectrum(args) -> int:
         [i + 1, _cell(float(gamma_sq[i])), _cell(float(chi_sq[i])), _cell(float(prefix_mean[i])), _cell(full_mean)]
         for i in range(order)
     ]
-    _write_table(args.out, [manifest.comment()], header, rows)
+    _write_table(args.out, [_comment("manifest", manifest)], header, rows)
     _log_duration("spectrum", started)
     return 0
 
@@ -683,10 +604,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"stve: invalid arguments: {exc}", file=sys.stderr)
         return 3
-    except CsvFormatError as exc:
-        print(f"stve: bad input: {exc}", file=sys.stderr)
-        return 1
-    except _InputError as exc:
+    except (CsvFormatError, _InputError, UnicodeError) as exc:
         print(f"stve: bad input: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -1,4 +1,4 @@
-"""CSV input/output, feature building, and the split-and-normalize pipeline.
+"""CSV input/output and the train/test split.
 
 CSV schema: header row, comma-delimited, UTF-8.  Columns are an optional
 integer index column "t" (strictly increasing, 1-based), the response column
@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -21,12 +20,9 @@ from .operators import RegressionDataset, select_rows
 
 __all__ = [
     "CsvFormatError",
-    "NormalizationParams",
     "read_csv",
     "write_csv",
-    "quadratic_features",
     "split_dataset",
-    "split_and_normalize",
 ]
 
 
@@ -49,15 +45,16 @@ def _parse_float(cell: str, what: str, line: int) -> float:
     return value
 
 
-def read_csv(source: str | IO[str]) -> RegressionDataset:
-    """Parse a dataset CSV; raises CsvFormatError with a line number on bad input."""
+def read_csv(source: str | Iterable[str]) -> RegressionDataset:
+    """Parse a dataset CSV from a path or an iterable of lines (such as an open
+    file); raises CsvFormatError with a line number on bad input."""
     if isinstance(source, str):
         with open(source, newline="", encoding="utf-8") as fh:
             return _read_csv(fh)
     return _read_csv(source)
 
 
-def _read_csv(fh: IO[str]) -> RegressionDataset:
+def _read_csv(fh: Iterable[str]) -> RegressionDataset:
     reader = csv.reader(fh)
     header: list[str] | None = None
     has_t = False
@@ -148,16 +145,6 @@ def _write_csv(dataset: RegressionDataset, fh: IO[str], comment: str | None) -> 
         )
 
 
-def quadratic_features(series: np.ndarray) -> np.ndarray:
-    """Feature rows (1, v, v^2) from a scalar series; every row norm is >= 1."""
-    v = np.asarray(series, dtype=np.float64).reshape(-1)
-    if v.shape[0] < 1:
-        raise ValueError("series must be non-empty")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("series contains non-finite entries")
-    return np.column_stack([np.ones_like(v), v, v * v])
-
-
 def split_dataset(dataset: RegressionDataset, train_rows: int) -> tuple[RegressionDataset, RegressionDataset]:
     """Split into the first train_rows rows and the rest, time labels kept."""
     total = dataset.horizon
@@ -166,65 +153,3 @@ def split_dataset(dataset: RegressionDataset, train_rows: int) -> tuple[Regressi
     train = select_rows(dataset, np.arange(train_rows))
     test = select_rows(dataset, np.arange(train_rows, total))
     return train, test
-
-
-@dataclass(frozen=True, eq=False)
-class NormalizationParams:
-    """Affine normalization fitted on a train split.
-
-    Response parameters come from the observed train rows; feature parameters
-    from all train rows, with constant columns left untouched (identity
-    transform).
-    """
-
-    y_mean: float
-    y_std: float
-    feature_means: np.ndarray
-    feature_stds: np.ndarray
-
-    def normalize_y(self, values: np.ndarray) -> np.ndarray:
-        return (np.asarray(values, dtype=np.float64) - self.y_mean) / self.y_std
-
-    def denormalize_y(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=np.float64) * self.y_std + self.y_mean
-
-    def apply(self, dataset: RegressionDataset) -> RegressionDataset:
-        u = (dataset.u - self.feature_means) / self.feature_stds
-        y = np.where(np.isfinite(dataset.y), (dataset.y - self.y_mean) / self.y_std, dataset.y)
-        return RegressionDataset(
-            u=u, y=y, observed=dataset.observed, time_index=dataset.time_index
-        )
-
-
-_CONST_COLUMN_TOL = 1e-12
-
-
-def split_and_normalize(
-    dataset: RegressionDataset, train_fraction: float = 0.5
-) -> tuple[RegressionDataset, RegressionDataset, NormalizationParams]:
-    """Split at floor(train_fraction * rows) and normalize both splits with train-fitted params."""
-    if not (0.0 < train_fraction < 1.0):
-        raise ValueError("train_fraction must be in (0, 1)")
-    cut = int(math.floor(train_fraction * dataset.horizon))
-    if cut < 2 or dataset.horizon - cut < 2:
-        raise ValueError("both splits need at least 2 rows")
-    if int(dataset.observed[:cut].sum()) < 2 or int(dataset.observed[cut:].sum()) < 2:
-        raise ValueError("both splits need at least 2 observed rows")
-    train, test = split_dataset(dataset, cut)
-
-    train_y = train.y[train.observed]
-    y_mean = float(train_y.mean())
-    y_std = float(train_y.std())
-    if y_std <= 0.0:
-        raise ValueError("response has zero variance on the train split")
-
-    means = train.u.mean(axis=0)
-    stds = train.u.std(axis=0)
-    constant = stds <= _CONST_COLUMN_TOL * np.maximum(1.0, np.abs(means))
-    means = np.where(constant, 0.0, means)
-    stds = np.where(constant, 1.0, stds)
-
-    params = NormalizationParams(
-        y_mean=y_mean, y_std=y_std, feature_means=means, feature_stds=stds
-    )
-    return params.apply(train), params.apply(test), params

@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from .dataio import quadratic_features
 from .operators import RegressionDataset
 
 __all__ = [
@@ -29,11 +28,12 @@ __all__ = [
     "ReplicationResult",
     "simulate",
     "replicate",
+    "benchmark_table",
 ]
 
 NOISE_FAMILIES = ("gaussian", "rademacher", "uniform")
 
-U_KINDS = ("gaussian", "constant", "quadratic", "array")
+U_KINDS = ("gaussian", "constant", "array")
 
 # Point estimator protocol: dataset -> (sigma2_hat, eta2_hat).
 Estimator = Callable[[RegressionDataset], tuple[float, float]]
@@ -44,9 +44,7 @@ class NoiseSpec:
     """A zero-mean sub-Gaussian family at a given variance.
 
     Families: "gaussian"; "rademacher" (+-sqrt(variance) with equal mass);
-    "uniform" (uniform on [-sqrt(3 variance), +sqrt(3 variance)]).  kappa is
-    the sub-Gaussian tail scale of the family at this variance, reported as
-    metadata and never used numerically.
+    "uniform" (uniform on [-sqrt(3 variance), +sqrt(3 variance)]).
     """
 
     family: str = "gaussian"
@@ -57,16 +55,6 @@ class NoiseSpec:
             raise ValueError(f"unknown noise family {self.family!r}")
         if not (np.isfinite(self.variance) and self.variance >= 0.0):
             raise ValueError("variance must be finite and non-negative")
-
-    @property
-    def kappa(self) -> float:
-        """Sub-Gaussian tail scale: P(|X| > t) <= 2 exp(-t^2 / kappa^2)."""
-        v = self.variance
-        if self.family == "gaussian":
-            return math.sqrt(2.0 * v)
-        if self.family == "rademacher":
-            return math.sqrt(v / math.log(2.0))
-        return math.sqrt(3.0 * v / math.log(2.0))
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.variance == 0.0:
@@ -85,9 +73,8 @@ class SimulationConfig:
     """Config for one simulated trajectory.
 
     u_kind selects the observation-vector process: "gaussian" (iid standard
-    normal rows), "constant" (u_constant repeated), "quadratic" (rows
-    (1, v, v^2) from the scalar series u_series, requires n = 3), or "array"
-    (u_matrix passed through).  missing lists 1-based time indices whose
+    normal rows), "constant" (u_constant repeated) or "array" (u_matrix
+    passed through).  missing lists 1-based time indices whose
     responses are masked.
     """
 
@@ -98,7 +85,6 @@ class SimulationConfig:
     noise_family: str = "gaussian"
     u_kind: str = "gaussian"
     u_constant: np.ndarray | None = None
-    u_series: np.ndarray | None = None
     u_matrix: np.ndarray | None = None
     seed: int = 0
     missing: tuple[int, ...] = ()
@@ -122,14 +108,6 @@ class SimulationConfig:
                 raise ValueError("u_constant must be a finite vector of length n")
             vec.setflags(write=False)
             object.__setattr__(self, "u_constant", vec)
-        if self.u_kind == "quadratic":
-            if self.n != 3:
-                raise ValueError("quadratic features require n = 3")
-            series = np.array(self.u_series, dtype=np.float64).reshape(-1)
-            if series.shape[0] != self.T or not np.all(np.isfinite(series)):
-                raise ValueError("u_series must be a finite series of length T")
-            series.setflags(write=False)
-            object.__setattr__(self, "u_series", series)
         if self.u_kind == "array":
             mat = np.array(self.u_matrix, dtype=np.float64)
             if mat.shape != (self.T, self.n) or not np.all(np.isfinite(mat)):
@@ -149,8 +127,6 @@ def _draw_u(config: SimulationConfig, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal((config.T, config.n))
     if config.u_kind == "constant":
         return np.tile(config.u_constant, (config.T, 1))
-    if config.u_kind == "quadratic":
-        return quadratic_features(config.u_series)
     return np.array(config.u_matrix)
 
 
@@ -238,3 +214,62 @@ def replicate(
             pairs = list(pool.map(_replication_errors, jobs, chunksize=max(1, replications // (4 * max_workers))))
     errors = np.array(pairs, dtype=np.float64)
     return ReplicationResult(sigma2_errors=errors[:, 0].copy(), eta2_errors=errors[:, 1].copy())
+
+
+def benchmark_table(
+    t_grid,
+    replications: int,
+    estimators: dict[str, Estimator],
+    sigma2: float,
+    eta2: float,
+    n: int,
+    noise_family: str = "gaussian",
+    seed: int = 0,
+    max_workers: int = 1,
+):
+    """Error table over a horizon grid: one row dict per (T, estimator).
+
+    Each grid cell derives its own child seed from the base seed, shared by
+    all estimators so comparisons are paired.  Returns (rows, slopes) where
+    slopes maps estimator name to a dict with the log-log decay slope per
+    variance and a defined flag (False when a mean error is zero or not
+    finite, e.g. under a truth-returning estimator).
+    """
+    grid = [int(t) for t in t_grid]
+    children = np.random.SeedSequence(seed).spawn(len(grid))
+    rows = []
+    means: dict[str, dict[str, list[float]]] = {
+        name: {"sigma2": [], "eta2": []} for name in estimators
+    }
+    for horizon, child in zip(grid, children):
+        cell_seed = int(child.generate_state(1, np.uint64)[0])
+        config = SimulationConfig(
+            T=horizon, n=n, sigma2=sigma2, eta2=eta2, noise_family=noise_family, seed=cell_seed
+        )
+        for name, fn in estimators.items():
+            result = replicate(config, replications, fn, max_workers=max_workers)
+            rows.append(
+                {
+                    "T": horizon,
+                    "estimator": name,
+                    "mean_abs_err_sigma2": result.mean_abs_error_sigma2,
+                    "stderr_sigma2": result.stderr_sigma2,
+                    "mean_abs_err_eta2": result.mean_abs_error_eta2,
+                    "stderr_eta2": result.stderr_eta2,
+                    "replications": replications,
+                }
+            )
+            means[name]["sigma2"].append(result.mean_abs_error_sigma2)
+            means[name]["eta2"].append(result.mean_abs_error_eta2)
+    slopes: dict[str, dict] = {}
+    log_t = np.log(np.array(grid, dtype=np.float64))
+    for name in estimators:
+        slopes[name] = {}
+        for param in ("sigma2", "eta2"):
+            values = np.array(means[name][param])
+            if len(grid) >= 2 and np.all(values > 0.0) and np.all(np.isfinite(values)):
+                slope = float(np.polyfit(log_t, np.log(values), 1)[0])
+                slopes[name][param] = {"slope": slope, "defined": True}
+            else:
+                slopes[name][param] = {"slope": math.nan, "defined": False}
+    return rows, slopes

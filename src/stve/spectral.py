@@ -88,15 +88,15 @@ def eigendecompose(gram: np.ndarray) -> GramSpectrum:
     scale = max(1.0, float(np.abs(g).max()))
     if float(np.abs(g - g.T).max()) > _SYMMETRY_TOL * scale:
         raise ValueError("gram is not symmetric")
-    values, vectors = np.linalg.eigh(0.5 * (g + g.T))
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
-    if values[-1] <= 0.0:
+    # eigh reads one triangle; the check above bounds what that ignores.
+    values, vectors = np.linalg.eigh(g)
+    if values[0] <= 0.0:
         raise ValueError(
             "gram matrix is numerically singular; a zero-norm or duplicate row "
             "may have slipped through row filtering"
         )
-    return GramSpectrum(eigenvalues=values, vectors=vectors)
+    # Descending views; GramSpectrum makes the one contiguous copy.
+    return GramSpectrum(eigenvalues=values[::-1], vectors=vectors[:, ::-1])
 
 
 def _check_p(spectrum: GramSpectrum, p: int) -> None:

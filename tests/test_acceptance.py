@@ -21,7 +21,7 @@ from stve.baselines import (
     stationary_regression,
     tune_learning_rate,
 )
-from stve.cli import _stve_point_estimator, _worker_count, benchmark_table
+from stve.cli import _stve_point_estimator, _worker_count
 from stve.dataio import write_csv
 from stve.estimator import estimate, moment_equation_check
 from stve.kalman import KalmanConfig, run_filter
@@ -31,7 +31,7 @@ from stve.operators import (
     gram_matrix,
     select_rows,
 )
-from stve.simulator import NoiseSpec, SimulationConfig, simulate
+from stve.simulator import NoiseSpec, SimulationConfig, benchmark_table, simulate
 from stve.spectral import eigendecompose, functionals, quadratic_forms
 
 

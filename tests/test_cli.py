@@ -19,7 +19,8 @@ from stve import (
     simulate,
     write_csv,
 )
-from stve.cli import _moving_average, _stve_point_estimator, benchmark_table, main
+from stve.cli import _moving_average, _stve_point_estimator, main
+from stve.simulator import benchmark_table
 
 from conftest import make_dataset
 
@@ -215,6 +216,14 @@ def _oom(_dataset):
         (["filter", "--baseline", "stationary"], "2,0.2,inf,-1.0", None, 1, "line 3: u_1 value 'inf'"),
         (["estimate"], None, "stve.estimator.gram_matrix", 2, "out of memory"),
         (["spectrum"], None, "stve.cli.gram_matrix", 2, "out of memory"),
+        (["estimate", "--alpha", "0"], None, None, 3, "alpha must be in (0, 1]"),
+        (["estimate", "--alpha", "1.5"], None, None, 3, "alpha must be in (0, 1]"),
+        (["estimate", "--min-row-norm", "-1"], None, None, 3, "min_row_norm"),
+        (["estimate", "--gap-warn", "-1"], None, None, 3, "gap_warn_threshold"),
+        (["spectrum", "--min-row-norm", "-1"], None, None, 3, "min_row_norm"),
+        (["filter", "--baseline", "stationary", "--window", "0"], None, None, 3, "--window"),
+        (["filter", "--auto", "--alpha", "0"], None, None, 3, "alpha must be in (0, 1]"),
+        (["filter", "--sigma2", "-1", "--eta2", "1"], None, None, 3, "sigma2"),
     ],
 )
 def test_failure_exit_codes(tmp_path, monkeypatch, argv, line_3, patch, code, message):
@@ -229,6 +238,30 @@ def test_failure_exit_codes(tmp_path, monkeypatch, argv, line_3, patch, code, me
     assert exit_code == code
     assert out == ""
     assert message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+NON_UTF8_CSV = b"t,y,u_1\n1,1.0,0.1\n2,\xff,0.2\n"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin", "config"])
+def test_non_utf8_input_exits_1(tmp_path, source):
+    path = tmp_path / "input"
+    stdin_text = None
+    if source == "file":
+        path.write_bytes(NON_UTF8_CSV)
+        argv = ["estimate", "--input", str(path)]
+    elif source == "stdin":
+        # what a POSIX-locale stdin hands over for an undecodable byte
+        stdin_text = NON_UTF8_CSV.decode("utf-8", "surrogateescape")
+        argv = ["estimate", "--input", "-"]
+    else:
+        path.write_bytes(b'{"noise": "\xff"}')
+        argv = ["benchmark", "--config", str(path)]
+    code, out, err = run_cli(argv, stdin_text=stdin_text)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("stve: bad input: ")
     assert len(err.strip().splitlines()) == 1
 
 
@@ -248,6 +281,10 @@ def test_flat_spectrum_exits_2(tmp_path):
         ["estimate"],
         ["estimate", "--input", "x", "--format", "yaml"],
         ["simulate", "--T", "10"],
+        # option values are checked before the (absent) input is opened
+        ["estimate", "--input", "absent.csv", "--alpha", "0"],
+        ["spectrum", "--input", "absent.csv", "--min-row-norm", "-1"],
+        ["filter", "--input", "absent.csv", "--baseline", "og", "--window", "0"],
     ],
 )
 def test_argument_errors_exit_3(argv):
@@ -405,6 +442,11 @@ def test_benchmark_unknown_config_key_exits_3(tmp_path):
         ["benchmark", "--T-grid", "10,20", "--reps", "2"],
         ["benchmark", "--T-grid", "10,14,20", "--reps", "1"],
         ["benchmark", "--T-grid", "10,14,20", "--reps", "2", "--estimators", "ols"],
+        ["benchmark", "--T-grid", "10,14,20", "--reps", "2", "--n", "0"],
+        ["benchmark", "--T-grid", "10,14,20", "--reps", "2", "--sigma2", "-1"],
+        ["benchmark", "--T-grid", "10,14,20", "--reps", "2", "--alpha", "2"],
+        ["benchmark", "--T-grid", "1,14,20", "--reps", "2"],
+        ["benchmark", "--T-grid", "10,x,20", "--reps", "2"],
     ],
 )
 def test_benchmark_validation_exits_3(argv):
@@ -533,6 +575,26 @@ def test_moving_average_centered_window():
     np.testing.assert_allclose(_moving_average(values, 9), np.full(5, 3.0), rtol=1e-15)
     with pytest.raises(ValueError, match="window"):
         _moving_average(values, 0)
+
+
+def _moving_average_loop(values, window):
+    # The O(T * window) reference: one slice mean per entry.
+    count = values.shape[0]
+    half_lo, half_hi = (window - 1) // 2, window // 2
+    return np.array(
+        [values[max(0, i - half_lo) : min(count, i + half_hi + 1)].mean() for i in range(count)]
+    )
+
+
+def test_moving_average_matches_loop(rng):
+    values = rng.standard_t(2, size=9000) ** 2  # heavy-tailed squared errors
+    count = values.shape[0]
+    for window in (1, 2, 3, 50, 51, count - 1):
+        np.testing.assert_allclose(
+            _moving_average(values, window), _moving_average_loop(values, window), rtol=1e-14, atol=0
+        )
+    for window in (count, count + 1):
+        np.testing.assert_array_equal(_moving_average(values, window), np.full(count, values.mean()))
 
 
 # ---------------------------------------------------------------------------

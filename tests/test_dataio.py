@@ -1,4 +1,4 @@
-"""CSV ingestion/serialization, polynomial features, split + normalization."""
+"""CSV ingestion/serialization and the train/test split."""
 import io
 
 import numpy as np
@@ -7,9 +7,7 @@ import pytest
 from stve import (
     CsvFormatError,
     RegressionDataset,
-    quadratic_features,
     read_csv,
-    split_and_normalize,
     split_dataset,
     write_csv,
 )
@@ -140,34 +138,7 @@ def test_missing_rows_written_as_empty_cells(rng):
 
 
 # ---------------------------------------------------------------------------
-# quadratic features
-
-
-def test_quadratic_feature_rows():
-    features = quadratic_features(np.array([0.0, 2.0, -1.0]))
-    np.testing.assert_array_equal(
-        features, [[1.0, 0.0, 0.0], [1.0, 2.0, 4.0], [1.0, -1.0, 1.0]]
-    )
-    assert np.linalg.norm(features[0]) == 1.0
-
-
-def test_quadratic_feature_norms(rng):
-    series = rng.uniform(-np.sqrt(2.0), np.sqrt(2.0), size=200)
-    features = quadratic_features(series)
-    norms = np.linalg.norm(features, axis=1)
-    assert np.all(norms >= 1.0)  # constant coordinate floors the norm
-    assert np.all(norms < 5.0)  # bounded series keeps the rows small
-
-
-def test_quadratic_feature_validation():
-    with pytest.raises(ValueError, match="non-empty"):
-        quadratic_features(np.array([]))
-    with pytest.raises(ValueError, match="finite"):
-        quadratic_features(np.array([1.0, np.inf]))
-
-
-# ---------------------------------------------------------------------------
-# splitting and normalization
+# splitting
 
 
 def test_split_keeps_time_labels(rng):
@@ -183,87 +154,3 @@ def test_split_bounds_validated(rng, cut):
     dataset = make_dataset(rng, T=10, n=2)
     with pytest.raises(ValueError, match="splits"):
         split_dataset(dataset, cut)
-
-
-def test_even_split_gives_equal_halves(rng):
-    dataset = make_dataset(rng, T=20, n=2)
-    train, test, _params = split_and_normalize(dataset, train_fraction=0.5)
-    assert train.horizon == 10
-    assert test.horizon == 10
-
-
-def test_normalized_train_response_is_standardized(rng):
-    dataset = make_dataset(rng, T=40, n=2, missing=(3, 17))
-    train, _test, params = split_and_normalize(dataset, train_fraction=0.5)
-    observed = train.y[train.observed]
-    assert abs(observed.mean()) < 1e-12
-    assert abs(observed.std() - 1.0) < 1e-12
-    assert params.y_std > 0.0
-
-
-def test_test_split_uses_train_parameters(rng):
-    # shift the second half: its normalized mean stays far from zero
-    u = rng.normal(size=(40, 2))
-    y = rng.normal(size=40)
-    y[20:] += 10.0
-    dataset = make_dataset(rng, T=40, n=2, y=y, u=u)
-    _train, test, params = split_and_normalize(dataset, train_fraction=0.5)
-    assert test.y[test.observed].mean() > 3.0
-    np.testing.assert_allclose(
-        params.denormalize_y(test.y[test.observed]), y[20:], rtol=0, atol=1e-12
-    )
-
-
-def test_constant_feature_column_untouched(rng):
-    series = rng.normal(size=30)
-    u = quadratic_features(series)
-    dataset = make_dataset(rng, T=30, n=3, u=u)
-    train, test, _params = split_and_normalize(dataset, train_fraction=0.5)
-    assert np.all(train.u[:, 0] == 1.0)
-    assert np.all(test.u[:, 0] == 1.0)
-    # non-constant columns are standardized on the train split
-    assert abs(train.u[:, 1].mean()) < 1e-12
-    assert abs(train.u[:, 1].std() - 1.0) < 1e-12
-
-
-def test_normalization_invertible(rng):
-    dataset = make_dataset(rng, T=24, n=2)
-    _train, _test, params = split_and_normalize(dataset, train_fraction=0.5)
-    values = rng.normal(size=11) * 7.0 + 3.0
-    np.testing.assert_allclose(
-        params.denormalize_y(params.normalize_y(values)), values, rtol=0, atol=1e-12
-    )
-
-
-def test_missingness_preserved_through_normalization(rng):
-    dataset = make_dataset(rng, T=30, n=2, missing=(4, 21))
-    train, test, _params = split_and_normalize(dataset, train_fraction=0.5)
-    assert int(train.observed.sum()) + int(test.observed.sum()) == 28
-    assert not train.observed[3]
-    assert not test.observed[5]  # label 21 sits at offset 5 of the test half
-
-
-@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2])
-def test_bad_train_fraction(rng, fraction):
-    dataset = make_dataset(rng, T=10, n=1)
-    with pytest.raises(ValueError, match="train_fraction"):
-        split_and_normalize(dataset, train_fraction=fraction)
-
-
-def test_tiny_split_rejected(rng):
-    dataset = make_dataset(rng, T=10, n=1)
-    with pytest.raises(ValueError, match="2 rows"):
-        split_and_normalize(dataset, train_fraction=0.05)
-
-
-def test_sparse_split_rejected(rng):
-    dataset = make_dataset(rng, T=12, n=1, missing=(1, 2, 3, 4, 5))
-    with pytest.raises(ValueError, match="observed"):
-        split_and_normalize(dataset, train_fraction=0.5)
-
-
-def test_constant_response_rejected(rng):
-    u = rng.normal(size=(12, 1))
-    dataset = make_dataset(rng, T=12, n=1, y=np.full(12, 4.0), u=u)
-    with pytest.raises(ValueError, match="variance"):
-        split_and_normalize(dataset, train_fraction=0.5)

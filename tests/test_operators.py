@@ -97,6 +97,19 @@ class TestGramMatrix:
         assert np.array_equal(dropped, [2, 5, 6])
         assert np.allclose(gram_matrix(reduced), G_full[np.ix_(keep, keep)], atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_exactly_symmetric(self, rng, n):
+        # eigendecompose passes G to eigh as is, and eigh reads one triangle
+        T = 800
+        times = np.sort(rng.choice(np.arange(1, 3 * T), size=T, replace=False))
+        ds = RegressionDataset(
+            u=rng.normal(size=(T, n)), y=rng.normal(size=T), observed=rng.random(T) > 0.1, time_index=times
+        )
+        filtered, dropped = filter_rows(ds)
+        assert dropped.size > 0
+        G = gram_matrix(filtered)
+        assert np.array_equal(G, G.T)
+
     def test_dense_consistent_with_operator_composition(self, rng):
         # the dense oracle applies the per-coordinate prefix sum of the
         # process-noise steps, then the inner product with each kept row

@@ -9,7 +9,6 @@ from stve import (
     NoiseSpec,
     ReplicationResult,
     SimulationConfig,
-    quadratic_features,
     replicate,
     simulate,
 )
@@ -64,32 +63,6 @@ def test_gaussian_has_unbounded_tails():
 def test_zero_variance_collapses_to_zero(family):
     draws = NoiseSpec(family, 0.0).sample(np.random.default_rng(7), 1000)
     assert np.all(draws == 0.0)
-
-
-@pytest.mark.parametrize("family", NOISE_FAMILIES)
-def test_kappa_formula(family):
-    variance = 1.3
-    spec = NoiseSpec(family, variance)
-    expected = {
-        "gaussian": math.sqrt(2.0 * variance),
-        "rademacher": math.sqrt(variance / math.log(2.0)),
-        "uniform": math.sqrt(3.0 * variance / math.log(2.0)),
-    }[family]
-    assert spec.kappa == pytest.approx(expected, rel=1e-15)
-
-
-@pytest.mark.parametrize("family", NOISE_FAMILIES)
-@pytest.mark.parametrize("quantile", [0.3, 0.6, 0.9, 1.2])
-def test_kappa_tail_bound(family, quantile):
-    # kappa is documented as the scale with P(|X| > t) <= 2 exp(-t^2/kappa^2).
-    variance = 0.8
-    spec = NoiseSpec(family, variance)
-    draws = spec.sample(np.random.default_rng(8), 200_000)
-    t = quantile * math.sqrt(variance)
-    frequency = float(np.mean(np.abs(draws) > t))
-    bound = 2.0 * math.exp(-(t**2) / spec.kappa**2)
-    mc_slack = 3.0 / math.sqrt(draws.size)
-    assert frequency <= bound + mc_slack
 
 
 def test_noise_spec_validation():
@@ -194,18 +167,6 @@ def test_constant_u_rows():
     assert np.array_equal(dataset.u, np.tile(vec, (12, 1)))
 
 
-def test_quadratic_u_rows():
-    series = np.linspace(-1.0, 2.0, 15)
-    dataset, _ = simulate(
-        SimulationConfig(
-            T=15, n=3, sigma2=0.5, eta2=0.5, u_kind="quadratic", u_series=series, seed=7
-        )
-    )
-    np.testing.assert_array_equal(dataset.u, quadratic_features(series))
-    np.testing.assert_allclose(dataset.u[:, 0], 1.0, rtol=0, atol=0)
-    np.testing.assert_allclose(dataset.u[:, 2], series**2, rtol=1e-15)
-
-
 def test_array_u_passthrough(rng):
     mat = rng.normal(size=(9, 2))
     dataset, _ = simulate(
@@ -224,8 +185,8 @@ def test_array_u_passthrough(rng):
         (dict(T=5, n=1, sigma2=1.0, eta2=1.0, noise_family="levy"), "family"),
         (dict(T=5, n=1, sigma2=1.0, eta2=1.0, u_kind="spline"), "u_kind"),
         (dict(T=5, n=2, sigma2=1.0, eta2=1.0, u_kind="constant", u_constant=[1.0]), "u_constant"),
-        (dict(T=5, n=2, sigma2=1.0, eta2=1.0, u_kind="quadratic", u_series=np.ones(5)), "n = 3"),
-        (dict(T=5, n=3, sigma2=1.0, eta2=1.0, u_kind="quadratic", u_series=np.ones(4)), "u_series"),
+        (dict(T=5, n=3, sigma2=1.0, eta2=1.0, u_kind="quadratic"), "u_kind"),
+        (dict(T=5, n=1, sigma2=1.0, eta2=1.0, u_kind="array", u_matrix=np.full((5, 1), np.nan)), "u_matrix"),
         (dict(T=5, n=2, sigma2=1.0, eta2=1.0, u_kind="array", u_matrix=np.ones((4, 2))), "u_matrix"),
         (dict(T=5, n=1, sigma2=1.0, eta2=1.0, missing=(0,)), "missing"),
         (dict(T=5, n=1, sigma2=1.0, eta2=1.0, missing=(6,)), "missing"),
