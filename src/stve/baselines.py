@@ -1,5 +1,9 @@
 """Prediction baselines: online gradient descent, stationary least squares,
-and simplex-search maximum likelihood over the filter's noise variances."""
+and the exact Gaussian maximum-likelihood fit of the two noise variances.
+
+The likelihood fit works on the Gram matrix's eigendecomposition, the same
+one the estimator computes: eta2 is profiled out in closed form and a
+golden-section search runs over log(sigma2 / eta2), O(T') per evaluation."""
 from __future__ import annotations
 
 import math
@@ -7,8 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kalman import KalmanConfig, run_filter
-from .operators import RegressionDataset
+# Not called here: perfbench's tracer wraps stve.baselines.run_filter.
+from .kalman import run_filter  # noqa: F401
+from .operators import RegressionDataset, filter_rows, gram_matrix
+from .spectral import eigendecompose
 
 __all__ = [
     "OnlineGradientConfig",
@@ -116,6 +122,15 @@ def _golden_section(func, lo: float, hi: float, tol: float) -> tuple[float, floa
     return best_x, best_f
 
 
+def _scan_then_golden(func, grid: np.ndarray, grid_vals: np.ndarray, tol: float) -> tuple[float, float]:
+    # The grid's best point, or a better one from golden section on the two
+    # cells beside it.
+    k = int(np.argmin(grid_vals))
+    best_x, best_f = float(grid[k]), float(grid_vals[k])
+    x, v = _golden_section(func, grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)], tol)
+    return (x, v) if v < best_f else (best_x, best_f)
+
+
 def tune_learning_rate(
     dataset: RegressionDataset,
     search_interval: tuple[float, float] = (0.0, 2.0),
@@ -139,12 +154,7 @@ def tune_learning_rate(
             return math.inf
 
     grid = np.linspace(lo, hi, 101)  # includes lo and hi
-    grid_vals = np.array([sse(a) for a in grid])
-    k = int(np.argmin(grid_vals))
-    best_x, best_f = float(grid[k]), float(grid_vals[k])
-    x, v = _golden_section(sse, grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)], tol)
-    if v < best_f:
-        best_x, best_f = x, v
+    best_x, best_f = _scan_then_golden(sse, grid, np.array([sse(a) for a in grid]), tol)
 
     cells = np.linspace(lo, hi, 9)
     for a, b in zip(cells[:-1], cells[1:]):
@@ -167,67 +177,14 @@ def stationary_regression(dataset: RegressionDataset) -> np.ndarray:
     return coef
 
 
-def _nelder_mead(func, start: np.ndarray, xtol: float, maxiter: int, step: float = 0.25):
-    # Standard simplex search (reflection 1, expansion 2, contraction 1/2,
-    # shrink 1/2), minimizing.  Converges when the max coordinate spread of the
-    # simplex around its best vertex falls below xtol.  Returns
-    # (x, f, iterations, converged, best-value history); the history is
-    # nonincreasing because no step ever discards the best vertex.
-    dim = start.shape[0]
-    simplex = np.repeat(start[None, :].astype(np.float64), dim + 1, axis=0)
-    for i in range(dim):
-        simplex[i + 1, i] += step
-    values = np.array([func(v) for v in simplex])
-
-    def sort(s, v):
-        order = np.argsort(v, kind="stable")
-        return s[order], v[order]
-
-    simplex, values = sort(simplex, values)
-    history = [float(values[0])]
-    iterations = 0
-    converged = False
-    while iterations < maxiter:
-        if float(np.max(np.abs(simplex[1:] - simplex[0]))) < xtol:
-            converged = True
-            break
-        iterations += 1
-        centroid = simplex[:-1].mean(axis=0)
-        worst, f_worst = simplex[-1], values[-1]
-        reflected = centroid + (centroid - worst)
-        f_r = func(reflected)
-        if values[0] <= f_r < values[-2]:
-            simplex[-1], values[-1] = reflected, f_r
-        elif f_r < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_e = func(expanded)
-            if f_e < f_r:
-                simplex[-1], values[-1] = expanded, f_e
-            else:
-                simplex[-1], values[-1] = reflected, f_r
-        else:
-            if f_r < f_worst:
-                contracted = centroid + 0.5 * (reflected - centroid)
-            else:
-                contracted = centroid + 0.5 * (worst - centroid)
-            f_c = func(contracted)
-            if f_c < min(f_r, f_worst):
-                simplex[-1], values[-1] = contracted, f_c
-            else:
-                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-                values[1:] = [func(v) for v in simplex[1:]]
-        simplex, values = sort(simplex, values)
-        history.append(float(values[0]))
-    return simplex[0], float(values[0]), iterations, converged, history
-
-
 @dataclass(frozen=True)
 class MleResult:
-    """Maximum-likelihood fit of the filter's noise variances.
+    """Maximum-likelihood fit of the two noise variances.
 
-    loglik_path is the best log-likelihood after each accepted simplex step,
-    nondecreasing by construction.  converged is False when the iteration cap
-    was hit first; that is a flag, not an error.
+    iterations counts likelihood evaluations (coarse scan plus golden
+    section).  converged is False when the optimum lies in the first or last
+    cell of the scan over the log(sigma2/eta2) bracket, where one variance is
+    negligible against the other; that is a flag, not an error.
     """
 
     sigma2: float
@@ -235,58 +192,66 @@ class MleResult:
     loglik: float
     iterations: int
     converged: bool
-    loglik_path: tuple[float, ...]
 
 
-# Log-parameters are clipped to keep exp() finite and eta2 positive.
-_LOG_CLIP = 60.0
+# The log(sigma2/eta2) bracket reaches this far past the spectrum's range:
+# at its ends q*lambda stays below exp(-_BRACKET_MARGIN) for every eigenvalue,
+# or above exp(_BRACKET_MARGIN) for every eigenvalue.
+_BRACKET_MARGIN = 20.0
+_SCAN_POINTS = 61
 
 
-def mle_fit(
-    dataset: RegressionDataset,
-    init: tuple[float, float] = (1.0, 1.0),
-    max_iterations: int = 500,
-    tolerance: float = 1e-8,
-    c0_scale: float = 1e4,
-    x0: np.ndarray | None = None,
-) -> MleResult:
-    """Maximize the filter log-likelihood over (log sigma2, log eta2).
+def mle_fit(dataset: RegressionDataset, tolerance: float = 1e-8) -> MleResult:
+    """Maximize the exact Gaussian likelihood of the observed responses.
 
-    The log parameterization keeps both variances positive and lets the search
-    recover from degenerate initial points.  Convergence: simplex diameter
-    below `tolerance` in log-space, or `max_iterations` simplex steps.
+    With the walk starting at zero, the responses of the row-filtered dataset
+    have covariance sigma2 G + eta2 I = V (sigma2 Lambda + eta2) V^T, where
+    G = V Lambda V^T is the Gram matrix.  With c = V^T y and q = sigma2 / eta2,
+    eta2 is profiled out in closed form, eta2(q) = mean(c^2 / (q lambda + 1)),
+    and the negative log-likelihood
+
+        (T' log(2 pi eta2(q)) + sum log(q lambda + 1) + T') / 2
+
+    costs O(T') per evaluation.  A coarse scan over log q seeds a
+    golden-section search refined to width `tolerance`.  If every response is
+    zero the likelihood is unbounded: both variances are returned as 0 with
+    loglik inf and converged False.
     """
-    init_s2, init_e2 = float(init[0]), float(init[1])
-    if not (init_s2 > 0.0 and init_e2 > 0.0 and np.isfinite(init_s2) and np.isfinite(init_e2)):
-        raise ValueError("init variances must be finite and strictly positive")
+    if not (np.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError("tolerance must be finite and strictly positive")
+    filtered, _dropped = filter_rows(dataset)
+    spectrum = eigendecompose(gram_matrix(filtered))
+    coef = spectrum.vectors.T @ filtered.y
+    c2 = coef * coef
+    lam = spectrum.eigenvalues
+    order = spectrum.order
+    if not np.any(c2 > 0.0):
+        return MleResult(sigma2=0.0, eta2=0.0, loglik=math.inf, iterations=0, converged=False)
 
-    def neg_loglik(theta: np.ndarray) -> float:
-        clipped = np.clip(theta, -_LOG_CLIP, _LOG_CLIP)
-        try:
-            trajectory = run_filter(
-                dataset,
-                KalmanConfig(
-                    sigma2=math.exp(clipped[0]),
-                    eta2=math.exp(clipped[1]),
-                    x0=x0,
-                    c0_scale=c0_scale,
-                ),
-            )
-        except FloatingPointError:
-            return 1e300
-        value = -trajectory.loglik
-        return value if np.isfinite(value) else 1e300
+    def profile(log_q):
+        # Negative log-likelihood and eta2 at q = exp(log_q), eta2 profiled
+        # out; log_q is a scalar or a 1-D grid.
+        weights = np.multiply.outer(np.exp(log_q), lam) + 1.0
+        eta2 = np.mean(c2 / weights, axis=-1)
+        nll = 0.5 * (order * np.log(2.0 * math.pi * eta2) + np.log(weights).sum(axis=-1) + order)
+        return nll, eta2
 
-    start = np.log(np.array([init_s2, init_e2]))
-    best, f_best, iterations, converged, history = _nelder_mead(
-        neg_loglik, start, xtol=tolerance, maxiter=max_iterations
-    )
-    clipped = np.clip(best, -_LOG_CLIP, _LOG_CLIP)
+    evaluations = _SCAN_POINTS
+
+    def neg_loglik(log_q: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return float(profile(log_q)[0])
+
+    lo = -math.log(lam[0]) - _BRACKET_MARGIN
+    hi = -math.log(lam[-1]) + _BRACKET_MARGIN
+    grid = np.linspace(lo, hi, _SCAN_POINTS)
+    best_x, best_f = _scan_then_golden(neg_loglik, grid, profile(grid)[0], tolerance)
+    eta2 = float(profile(best_x)[1])
     return MleResult(
-        sigma2=float(math.exp(clipped[0])),
-        eta2=float(math.exp(clipped[1])),
-        loglik=float(-f_best),
-        iterations=int(iterations),
-        converged=bool(converged),
-        loglik_path=tuple(-v for v in history),
+        sigma2=float(math.exp(best_x) * eta2),
+        eta2=eta2,
+        loglik=-best_f,
+        iterations=evaluations,
+        converged=bool(grid[1] <= best_x <= grid[-2]),
     )

@@ -284,8 +284,8 @@ def _stve_point_estimator(dataset, alpha=0.25):
     return result.sigma2, result.eta2
 
 
-def _mle_point_estimator(dataset, init=(1.0, 1.0)):
-    result = mle_fit(dataset, init=init)
+def _mle_point_estimator(dataset):
+    result = mle_fit(dataset)
     return result.sigma2, result.eta2
 
 
@@ -352,6 +352,7 @@ def _cmd_benchmark(args) -> int:
             sigma2=float(resolved["sigma2"]),
             eta2=float(resolved["eta2"]),
             noise_family=resolved["noise"],
+            seed=seed,
         )
     except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
@@ -569,7 +570,7 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--noise", choices=list(NOISE_FAMILIES))
     p_bench.add_argument("--seed", type=int)
     p_bench.add_argument("--alpha", type=float)
-    p_bench.add_argument("--estimators", help="subset of stve,mle (default both; mle starts at (1,1))")
+    p_bench.add_argument("--estimators", help="subset of stve,mle (default both)")
     p_bench.add_argument("--out", help="output CSV path (default stdout)")
     p_bench.set_defaults(handler=_cmd_benchmark)
 

@@ -12,6 +12,12 @@ This is the exact Kalman update only for n = 1; for n > 1 the exact
 posterior covariance is not a multiple of I.  Missing steps propagate only:
 the scale grows by sigma^2 and the state is unchanged.  The log-likelihood
 accumulates Gaussian innovation terms over the observed steps.
+
+The filter stays isotropic on purpose: it is the online-prediction baseline,
+one O(n) update per step.  It is not the model's likelihood for n > 1;
+`stve.baselines.mle_fit` maximizes the exact Gaussian likelihood from the
+Gram spectrum instead, and matches this filter's loglik at n = 1 when the
+filter starts at x0 = 0 with a vanishing c0_scale.
 """
 from __future__ import annotations
 

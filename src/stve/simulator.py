@@ -75,7 +75,7 @@ class SimulationConfig:
     u_kind selects the observation-vector process: "gaussian" (iid standard
     normal rows), "constant" (u_constant repeated) or "array" (u_matrix
     passed through).  missing lists 1-based time indices whose
-    responses are masked.
+    responses are masked.  seed is a non-negative integer.
     """
 
     T: int
@@ -100,6 +100,8 @@ class SimulationConfig:
                 raise ValueError(f"{name} must be finite and non-negative")
         if self.noise_family not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family {self.noise_family!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.u_kind not in U_KINDS:
             raise ValueError(f"unknown u_kind {self.u_kind!r}")
         if self.u_kind == "constant":

@@ -285,6 +285,7 @@ def test_flat_spectrum_exits_2(tmp_path):
         ["estimate", "--input", "absent.csv", "--alpha", "0"],
         ["spectrum", "--input", "absent.csv", "--min-row-norm", "-1"],
         ["filter", "--input", "absent.csv", "--baseline", "og", "--window", "0"],
+        ["simulate", "--T", "10", "--n", "1", "--sigma2", "1", "--eta2", "1", "--seed", "-1"],
     ],
 )
 def test_argument_errors_exit_3(argv):
@@ -447,11 +448,37 @@ def test_benchmark_unknown_config_key_exits_3(tmp_path):
         ["benchmark", "--T-grid", "10,14,20", "--reps", "2", "--alpha", "2"],
         ["benchmark", "--T-grid", "1,14,20", "--reps", "2"],
         ["benchmark", "--T-grid", "10,x,20", "--reps", "2"],
+        ["benchmark", "--T-grid", "10,14,20", "--reps", "2", "--seed", "-1"],
     ],
 )
 def test_benchmark_validation_exits_3(argv):
     code, _out, _err = run_cli(argv)
     assert code == 3
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "benchmark"])
+def test_negative_seed_message_names_the_seed(subcommand):
+    extra = ["--T", "10", "--n", "1", "--sigma2", "1", "--eta2", "1"] if subcommand == "simulate" else []
+    code, out, err = run_cli([subcommand, *extra, "--seed", "-1"])
+    assert code == 3
+    assert out == ""
+    assert "seed must be a non-negative integer" in err
+
+
+def test_benchmark_runs_mle(tmp_path):
+    out_path = tmp_path / "bench.csv"
+    code, _out, _err = run_cli(
+        ["benchmark", "--T-grid", "10,14,20", "--reps", "2", "--estimators", "stve,mle",
+         "--seed", "5", "--out", str(out_path)]
+    )
+    assert code == 0
+    _comments, _header, rows = parse_table(out_path.read_text())
+    assert [(row[0], row[1]) for row in rows] == [
+        (T, name) for T in ("10", "14", "20") for name in ("stve", "mle")
+    ]
+    for row in rows:
+        assert row[6] == "2"
+        assert all(np.isfinite(float(v)) for v in row[2:6])
 
 
 def test_benchmark_thread_cap_is_behavior_neutral(tmp_path):

@@ -191,6 +191,8 @@ def test_array_u_passthrough(rng):
         (dict(T=5, n=1, sigma2=1.0, eta2=1.0, missing=(0,)), "missing"),
         (dict(T=5, n=1, sigma2=1.0, eta2=1.0, missing=(6,)), "missing"),
         (dict(T=5, n=1, sigma2=1.0, eta2=1.0, missing=(2, 2)), "distinct"),
+        (dict(T=5, n=1, sigma2=1.0, eta2=1.0, seed=-1), "seed"),
+        (dict(T=5, n=1, sigma2=1.0, eta2=1.0, seed=1.5), "seed"),
     ],
 )
 def test_config_validation(kwargs, match):
