@@ -1,8 +1,9 @@
 """Prediction baselines: online gradient descent, stationary least squares,
 and the exact Gaussian maximum-likelihood fit of the two noise variances.
 
-The likelihood fit works on the Gram matrix's eigendecomposition, the same
-one the estimator computes: eta2 is profiled out in closed form and a
+The likelihood fit reads the Gram spectrum from
+`stve.estimator.spectral_system`, so after `estimate` on the same dataset it
+costs no second eigendecomposition: eta2 is profiled out in closed form and a
 golden-section search runs over log(sigma2 / eta2), O(T') per evaluation."""
 from __future__ import annotations
 
@@ -11,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimator import spectral_system
 # Not called here: perfbench's tracer wraps stve.baselines.run_filter.
 from .kalman import run_filter  # noqa: F401
-from .operators import RegressionDataset, filter_rows, gram_matrix
-from .spectral import eigendecompose
+from .operators import RegressionDataset
 
 __all__ = [
     "OnlineGradientConfig",
@@ -35,7 +36,6 @@ class OnlineGradientConfig:
     externally computed gain schedules can be injected."""
 
     learning_rate: float | np.ndarray
-    x0: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         rate = np.array(self.learning_rate, dtype=np.float64)
@@ -45,12 +45,6 @@ class OnlineGradientConfig:
             raise ValueError("learning_rate must be finite and non-negative")
         rate.setflags(write=False)
         object.__setattr__(self, "learning_rate", rate)
-        if self.x0 is not None:
-            vec = np.array(self.x0, dtype=np.float64).reshape(-1)
-            if not np.all(np.isfinite(vec)):
-                raise ValueError("x0 must be finite")
-            vec.setflags(write=False)
-            object.__setattr__(self, "x0", vec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,9 +55,9 @@ class OnlineGradientRun:
 
 
 def online_gradient_run(dataset: RegressionDataset, config: OnlineGradientConfig) -> OnlineGradientRun:
-    """x <- x + rate * u * (y - <x, u>) at observed steps; missing steps predict
-    but do not update.  sse sums squared prediction errors over observed steps.
-    Raises RuntimeError if the state norm exceeds 1e12."""
+    """x <- x + rate * u * (y - <x, u>) from x = 0, at observed steps; missing
+    steps predict but do not update.  sse sums squared prediction errors over
+    observed steps.  Raises RuntimeError if the state norm exceeds 1e12."""
     horizon, dim = dataset.horizon, dataset.dim
     rate = config.learning_rate
     if rate.ndim == 0:
@@ -72,13 +66,7 @@ def online_gradient_run(dataset: RegressionDataset, config: OnlineGradientConfig
         if rate.shape[0] != horizon:
             raise ValueError("per-step learning_rate length must equal the horizon")
         rates = rate
-    if config.x0 is None:
-        state = np.zeros(dim)
-    else:
-        if config.x0.shape[0] != dim:
-            raise ValueError("x0 length does not match the dataset dimension")
-        state = np.array(config.x0)
-
+    state = np.zeros(dim)
     states = np.empty((horizon, dim))
     predictions = np.empty(horizon)
     sse = 0.0
@@ -134,7 +122,6 @@ def _scan_then_golden(func, grid: np.ndarray, grid_vals: np.ndarray, tol: float)
 def tune_learning_rate(
     dataset: RegressionDataset,
     search_interval: tuple[float, float] = (0.0, 2.0),
-    x0: np.ndarray | None = None,
     tol: float = 1e-6,
 ) -> float:
     """Minimize the online-gradient sse over the learning rate.
@@ -149,7 +136,7 @@ def tune_learning_rate(
 
     def sse(rate: float) -> float:
         try:
-            return online_gradient_run(dataset, OnlineGradientConfig(rate, x0)).sse
+            return online_gradient_run(dataset, OnlineGradientConfig(rate)).sse
         except RuntimeError:
             return math.inf
 
@@ -219,8 +206,7 @@ def mle_fit(dataset: RegressionDataset, tolerance: float = 1e-8) -> MleResult:
     """
     if not (np.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError("tolerance must be finite and strictly positive")
-    filtered, _dropped = filter_rows(dataset)
-    spectrum = eigendecompose(gram_matrix(filtered))
+    filtered, _dropped, spectrum = spectral_system(dataset)
     coef = spectrum.vectors.T @ filtered.y
     c2 = coef * coef
     lam = spectrum.eigenvalues

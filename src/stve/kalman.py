@@ -76,11 +76,6 @@ class KalmanTrajectory:
     innovations: np.ndarray
     loglik: float
 
-    @property
-    def covariances(self) -> np.ndarray:
-        """The filtered covariances as (T, n, n) matrices, scales[t] * I."""
-        return self.scales[:, None, None] * np.eye(self.states.shape[1])
-
 
 def run_filter(dataset: RegressionDataset, config: KalmanConfig) -> KalmanTrajectory:
     """Run the filter over the dataset; raises FloatingPointError if the

@@ -186,36 +186,41 @@ class ReplicationResult:
         return float(self.eta2_errors.std(ddof=1) / math.sqrt(self.replications))
 
 
-def _replication_errors(job: tuple[SimulationConfig, np.random.SeedSequence, Estimator]) -> tuple[float, float]:
-    config, child, estimator = job
+def _replication_errors(job: tuple[SimulationConfig, np.random.SeedSequence, dict[str, Estimator]]) -> list:
+    config, child, estimators = job
     dataset, _states = simulate(config, child)
-    sigma2_hat, eta2_hat = estimator(dataset)
-    return abs(float(sigma2_hat) - config.sigma2), abs(float(eta2_hat) - config.eta2)
+    estimates = [estimator(dataset) for estimator in estimators.values()]
+    return [(abs(float(s) - config.sigma2), abs(float(e) - config.eta2)) for s, e in estimates]
 
 
 def replicate(
     config: SimulationConfig,
     replications: int,
-    estimator: Estimator,
+    estimators: dict[str, Estimator],
     max_workers: int = 1,
-) -> ReplicationResult:
+) -> dict[str, ReplicationResult]:
     """Run independent replications of simulate + estimate and collect |error|s.
 
-    Child streams are spawned from SeedSequence(config.seed), one per
+    Every estimator sees the same simulated dataset in each replication, so
+    estimators that share a spectrum (stve.estimator.spectral_system) compute
+    it once.  Returns one ReplicationResult per estimator name.  Child streams are spawned from SeedSequence(config.seed), one per
     replication, so the result is deterministic for a given config and
     independent of max_workers.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications for standard errors")
     children = np.random.SeedSequence(config.seed).spawn(replications)
-    jobs = [(config, child, estimator) for child in children]
+    jobs = [(config, child, estimators) for child in children]
     if max_workers <= 1:
         pairs = [_replication_errors(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             pairs = list(pool.map(_replication_errors, jobs, chunksize=max(1, replications // (4 * max_workers))))
-    errors = np.array(pairs, dtype=np.float64)
-    return ReplicationResult(sigma2_errors=errors[:, 0].copy(), eta2_errors=errors[:, 1].copy())
+    errors = np.array(pairs, dtype=np.float64)  # (replication, estimator, variance)
+    return {
+        name: ReplicationResult(sigma2_errors=errors[:, k, 0].copy(), eta2_errors=errors[:, k, 1].copy())
+        for k, name in enumerate(estimators)
+    }
 
 
 def benchmark_table(
@@ -231,25 +236,22 @@ def benchmark_table(
 ):
     """Error table over a horizon grid: one row dict per (T, estimator).
 
-    Each grid cell derives its own child seed from the base seed, shared by
-    all estimators so comparisons are paired.  Returns (rows, slopes) where
-    slopes maps estimator name to a dict with the log-log decay slope per
-    variance and a defined flag (False when a mean error is zero or not
+    Each grid cell derives its own child seed from the base seed and runs
+    one replicate over all estimators, so every estimator sees the same
+    simulated datasets and comparisons are paired.  Returns (rows, slopes)
+    where slopes maps estimator name to a dict with the log-log decay slope
+    per variance and a defined flag (False when a mean error is zero or not
     finite, e.g. under a truth-returning estimator).
     """
     grid = [int(t) for t in t_grid]
     children = np.random.SeedSequence(seed).spawn(len(grid))
     rows = []
-    means: dict[str, dict[str, list[float]]] = {
-        name: {"sigma2": [], "eta2": []} for name in estimators
-    }
     for horizon, child in zip(grid, children):
         cell_seed = int(child.generate_state(1, np.uint64)[0])
         config = SimulationConfig(
             T=horizon, n=n, sigma2=sigma2, eta2=eta2, noise_family=noise_family, seed=cell_seed
         )
-        for name, fn in estimators.items():
-            result = replicate(config, replications, fn, max_workers=max_workers)
+        for name, result in replicate(config, replications, estimators, max_workers=max_workers).items():
             rows.append(
                 {
                     "T": horizon,
@@ -261,14 +263,12 @@ def benchmark_table(
                     "replications": replications,
                 }
             )
-            means[name]["sigma2"].append(result.mean_abs_error_sigma2)
-            means[name]["eta2"].append(result.mean_abs_error_eta2)
     slopes: dict[str, dict] = {}
     log_t = np.log(np.array(grid, dtype=np.float64))
     for name in estimators:
         slopes[name] = {}
         for param in ("sigma2", "eta2"):
-            values = np.array(means[name][param])
+            values = np.array([row[f"mean_abs_err_{param}"] for row in rows if row["estimator"] == name])
             if len(grid) >= 2 and np.all(values > 0.0) and np.all(np.isfinite(values)):
                 slope = float(np.polyfit(log_t, np.log(values), 1)[0])
                 slopes[name][param] = {"slope": slope, "defined": True}

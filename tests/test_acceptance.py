@@ -203,7 +203,7 @@ def test_criterion_6_kalman_closed_form_and_scalar_oracle():
     ds = RegressionDataset(u=np.ones((T, 1)), y=np.zeros(T))
     traj = run_filter(ds, KalmanConfig(sigma2=0.0, eta2=eta2, c0_scale=eta2))
     expected = eta2 / (np.arange(1, T + 1, dtype=np.float64) + 1.0)
-    assert float(np.max(np.abs(traj.covariances[:, 0, 0] - expected))) <= 1e-12
+    assert float(np.max(np.abs(traj.scales - expected))) <= 1e-12
 
     # Agreement with an independently coded scalar filter on random instances.
     rng = np.random.default_rng(606)
@@ -228,7 +228,7 @@ def test_criterion_6_kalman_closed_form_and_scalar_oracle():
             ds.y, ds.u[:, 0], ds.observed, sigma2, eta2, x0, c0
         )
         np.testing.assert_allclose(traj.states[:, 0], states, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(traj.covariances[:, 0, 0], covs, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(traj.scales, covs, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(traj.predictions, preds, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(
             traj.innovations, inns, rtol=1e-10, atol=1e-10, equal_nan=True

@@ -26,14 +26,6 @@ from conftest import dense_system_matrix, make_dataset
 # online gradient
 
 
-def test_zero_rate_keeps_states_constant(rng):
-    dataset = make_dataset(rng, T=12, n=3)
-    x0 = np.array([1.0, -2.0, 0.5])
-    run = online_gradient_run(dataset, OnlineGradientConfig(0.0, x0=x0))
-    assert np.array_equal(run.states, np.tile(x0, (12, 1)))
-    np.testing.assert_allclose(run.predictions, dataset.u @ x0, rtol=0, atol=1e-12)
-
-
 def test_zero_rate_default_origin_predicts_zero(rng):
     dataset = make_dataset(rng, T=9, n=2)
     run = online_gradient_run(dataset, OnlineGradientConfig(0.0))
@@ -75,7 +67,7 @@ def test_injected_kalman_gains_reproduce_filter_states():
         SimulationConfig(T=60, n=1, sigma2=0.7, eta2=1.3, seed=42, missing=(14, 35))
     )
     trajectory = run_filter(dataset, KalmanConfig(sigma2=0.7, eta2=1.3))
-    gains = np.array([c[0, 0] for c in trajectory.covariances]) / 1.3
+    gains = trajectory.scales / 1.3
     run = online_gradient_run(dataset, OnlineGradientConfig(gains))
     np.testing.assert_allclose(run.states, trajectory.states, rtol=0, atol=1e-10)
     np.testing.assert_allclose(run.predictions, trajectory.predictions, rtol=0, atol=1e-10)
@@ -116,14 +108,6 @@ def test_per_step_rates_validate_length(rng):
 def test_learning_rate_validation(rate):
     with pytest.raises(ValueError):
         OnlineGradientConfig(rate)
-
-
-def test_x0_validation(rng):
-    with pytest.raises(ValueError, match="finite"):
-        OnlineGradientConfig(0.1, x0=np.array([1.0, np.nan]))
-    dataset = make_dataset(rng, T=5, n=3)
-    with pytest.raises(ValueError, match="dimension"):
-        online_gradient_run(dataset, OnlineGradientConfig(0.1, x0=np.zeros(2)))
 
 
 # ---------------------------------------------------------------------------

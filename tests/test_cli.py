@@ -183,7 +183,7 @@ def test_estimate_within_replication_envelope(tmp_path):
     code, out, _err = run_cli(["estimate", "--input", path])
     assert code == 0
     payload = json.loads(out)
-    spread = replicate(config, 30, _stve_point_estimator)
+    spread = replicate(config, 30, {"stve": _stve_point_estimator})["stve"]
     envelope_sigma2 = spread.mean_abs_error_sigma2 + 4 * spread.sigma2_errors.std()
     envelope_eta2 = spread.mean_abs_error_eta2 + 4 * spread.eta2_errors.std()
     assert abs(payload["sigma2"] - 0.5) <= envelope_sigma2
@@ -215,7 +215,7 @@ def _oom(_dataset):
         (["filter", "--baseline", "stationary"], "2,0.2,1.0,nan", None, 1, "line 3: u_2 value 'nan'"),
         (["filter", "--baseline", "stationary"], "2,0.2,inf,-1.0", None, 1, "line 3: u_1 value 'inf'"),
         (["estimate"], None, "stve.estimator.gram_matrix", 2, "out of memory"),
-        (["spectrum"], None, "stve.cli.gram_matrix", 2, "out of memory"),
+        (["spectrum"], None, "stve.estimator.gram_matrix", 2, "out of memory"),
         (["estimate", "--alpha", "0"], None, None, 3, "alpha must be in (0, 1]"),
         (["estimate", "--alpha", "1.5"], None, None, 3, "alpha must be in (0, 1]"),
         (["estimate", "--min-row-norm", "-1"], None, None, 3, "min_row_norm"),
@@ -479,6 +479,20 @@ def test_benchmark_runs_mle(tmp_path):
     for row in rows:
         assert row[6] == "2"
         assert all(np.isfinite(float(v)) for v in row[2:6])
+
+
+def test_benchmark_estimators_together_match_separate_runs(monkeypatch):
+    # stve and mle share each simulated dataset; their rows are unchanged
+    monkeypatch.setenv("STVE_THREADS", "1")
+    argv = ["benchmark", "--T-grid", "10,14,20", "--reps", "3", "--seed", "8", "--estimators"]
+    tables = {}
+    for estimators in ("stve,mle", "stve", "mle"):
+        code, out, _err = run_cli(argv + [estimators])
+        assert code == 0
+        tables[estimators] = parse_table(out)[2]
+    together = tables["stve,mle"]
+    assert together[0::2] == tables["stve"]
+    assert together[1::2] == tables["mle"]
 
 
 def test_benchmark_thread_cap_is_behavior_neutral(tmp_path):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -12,12 +15,14 @@ from stve import (
     filter_rows,
     functionals,
     gram_matrix,
+    mle_fit,
     moment_equation_check,
     quadratic_forms,
     replicate,
     simulate,
     truncation_size,
 )
+from stve.estimator import spectral_system
 
 from conftest import make_dataset
 
@@ -53,7 +58,6 @@ class TestStveConfig:
         assert cfg.alpha == 0.25
         assert cfg.min_row_norm == 1e-8
         assert cfg.gap_warn_threshold == 0.05
-        assert cfg.clamp_nonnegative
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
@@ -148,11 +152,6 @@ class TestEstimate:
         assert result.eta2 == pytest.approx(full / result.functionals.pinv_hs_sq, rel=1e-12)
         assert any("clamped" in w for w in result.warnings)
 
-    def test_clamping_can_be_disabled(self):
-        ds, _ = simulate(SimulationConfig(T=40, n=2, sigma2=1.0, eta2=0.0, seed=0))
-        result = estimate(ds, StveConfig(clamp_nonnegative=False))
-        assert result.eta2 == result.eta2_raw < 0.0
-
     def test_clamped_outputs_never_negative(self):
         for seed in range(30):
             ds, _ = simulate(SimulationConfig(T=25, n=2, sigma2=0.3, eta2=0.3, seed=seed))
@@ -171,7 +170,7 @@ class TestEstimate:
             r = estimate(ds)
             return r.sigma2, r.eta2
 
-        result = replicate(config, 200, point)
+        result = replicate(config, 200, {"stve": point})["stve"]
         assert result.mean_abs_error_sigma2 < 0.35
         assert result.mean_abs_error_eta2 < 0.12
 
@@ -252,3 +251,58 @@ class TestGapDiagnostic:
         ratio = np.abs(ds.u.sum(axis=1)).min() / (2 * np.linalg.norm(ds.u, axis=1).max())
         expected = ratio * result.functionals.pinv_hs_sq / 60
         assert result.gap_lower_bound == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counts calls of np.linalg.eigh."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+class TestSpectralSystem:
+    def test_one_eigh_per_dataset(self, rng, eigh_calls):
+        ds = make_dataset(rng, 60, 3)
+        estimate(ds)
+        mle_fit(ds)
+        moment_equation_check(ds, NoiseSpec(), NoiseSpec(), 10)
+        assert len(eigh_calls) == 1
+
+    def test_cached_spectrum_dies_with_its_dataset(self, rng):
+        ds = make_dataset(rng, 30, 2)
+        filtered, dropped, spectrum = spectral_system(ds)
+        assert spectral_system(ds)[2] is spectrum
+        assert not dropped.flags.writeable
+        ref = weakref.ref(spectrum)
+        del ds, filtered, dropped, spectrum
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("order", [(0.0, 0.5), (0.5, 0.0)])
+    def test_min_row_norm_is_part_of_the_key(self, order):
+        rng = np.random.default_rng(3)
+        u = rng.uniform(1.0, 2.0, size=(30, 2)) * rng.choice([-1.0, 1.0], size=(30, 2))
+        u[9] = [0.1, 0.0]
+        ds = make_dataset(rng, 30, 2, u=u)
+        expected = {0.0: 30, 0.5: 29}
+        for min_row_norm in order:
+            result = estimate(ds, StveConfig(min_row_norm=min_row_norm))
+            assert result.effective_T == expected[min_row_norm]
+
+    def test_too_short_data_fails_before_eigh(self, rng, eigh_calls):
+        ds = make_dataset(rng, 300, 2)
+        message = "need at least 10000 rows after filtering, have 300"
+        with pytest.raises(ValueError, match=message):
+            estimate(ds, StveConfig(alpha=1e-4))
+        assert len(eigh_calls) == 0
+        spectral_system(ds)  # cached now; the check must still run on a hit
+        with pytest.raises(ValueError, match=message):
+            estimate(ds, StveConfig(alpha=1e-4))
+        assert len(eigh_calls) == 1

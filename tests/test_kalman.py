@@ -57,9 +57,8 @@ class TestHarmonicClosedForm:
         eta2 = 3.7
         ds = RegressionDataset(u=np.ones((T, 1)), y=np.zeros(T))
         trajectory = run_filter(ds, KalmanConfig(sigma2=0.0, eta2=eta2, c0_scale=eta2))
-        cov = np.array([c[0, 0] for c in trajectory.covariances])
         expected = eta2 / (np.arange(1, T + 1) + 1.0)
-        assert np.allclose(cov, expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(trajectory.scales, expected, rtol=0.0, atol=1e-12)
 
 
 class TestScalarOracle:
@@ -83,7 +82,7 @@ class TestScalarOracle:
             y, u[:, 0], observed, sigma2, eta2, x0, c0
         )
         assert np.allclose(trajectory.states[:, 0], states, atol=1e-10)
-        assert np.allclose([c[0, 0] for c in trajectory.covariances], covs, atol=1e-10)
+        assert np.allclose(trajectory.scales, covs, atol=1e-10)
         assert np.allclose(trajectory.predictions, preds, atol=1e-10)
         assert np.allclose(trajectory.innovations, inns, atol=1e-10, equal_nan=True)
         assert trajectory.loglik == pytest.approx(loglik, rel=1e-10, abs=1e-10)
@@ -127,8 +126,7 @@ class TestFilterBehavior:
         # states do not move and the covariance inflates by sigma2 * I
         assert np.array_equal(trajectory.states[6], trajectory.states[5])
         assert np.array_equal(trajectory.states[7], trajectory.states[6])
-        inflated = trajectory.covariances[5] + sigma2 * np.eye(2)
-        assert np.allclose(trajectory.covariances[6], inflated, atol=1e-12)
+        assert np.allclose(trajectory.scales[6], trajectory.scales[5] + sigma2, atol=1e-12)
         assert np.isnan(trajectory.innovations[6])
         assert np.isnan(trajectory.innovations[7])
 
@@ -154,9 +152,9 @@ class TestFilterBehavior:
     def test_covariances_symmetric_psd(self, rng):
         ds = make_dataset(rng, 40, 3)
         trajectory = run_filter(ds, KalmanConfig(sigma2=0.7, eta2=1.3))
-        for C in trajectory.covariances:
-            assert np.allclose(C, C.T, atol=1e-10)
-            assert np.linalg.eigvalsh(C).min() >= -1e-10
+        # C_t = scales[t] * I is symmetric by construction and PSD iff its
+        # scale is non-negative
+        assert np.all(trajectory.scales > 0.0)
 
     def test_covariance_recursion_literal_form(self, rng):
         # the filtered covariance is the scalar eta2/s times the prior at
@@ -170,7 +168,7 @@ class TestFilterBehavior:
             u_t = ds.u[t]
             s = float(prior @ u_t @ u_t) + config.eta2
             cov = (config.eta2 / s) * prior
-            assert np.allclose(trajectory.covariances[t], cov, rtol=1e-12, atol=1e-12)
+            assert np.allclose(trajectory.scales[t] * np.eye(3), cov, rtol=1e-12, atol=1e-12)
 
     def test_non_finite_propagation_raises(self):
         u = np.full((3, 1), 1e200)
@@ -185,8 +183,6 @@ class TestFilterBehavior:
         assert trajectory.scales.shape == (20,)
         with pytest.raises(ValueError):
             trajectory.scales[0] = 1.0
-        expected = trajectory.scales[:, None, None] * np.eye(3)
-        assert np.array_equal(trajectory.covariances, expected)
 
 
 class TestPredictNext:

@@ -9,6 +9,8 @@ from stve import (
     NoiseSpec,
     ReplicationResult,
     SimulationConfig,
+    estimate,
+    mle_fit,
     replicate,
     simulate,
 )
@@ -206,7 +208,7 @@ def test_config_validation(kwargs, match):
 
 def test_truth_stub_gives_zero_errors():
     config = SimulationConfig(T=30, n=2, sigma2=0.4, eta2=1.1, seed=11)
-    result = replicate(config, 8, lambda dataset: (0.4, 1.1))
+    result = replicate(config, 8, {"truth": lambda dataset: (0.4, 1.1)})["truth"]
     assert isinstance(result, ReplicationResult)
     assert result.replications == 8
     assert result.mean_abs_error_sigma2 == 0.0
@@ -217,19 +219,19 @@ def test_truth_stub_gives_zero_errors():
 
 def test_replications_are_independent_draws():
     config = SimulationConfig(T=30, n=2, sigma2=0.4, eta2=1.1, seed=11)
-    result = replicate(config, 16, _second_moment_stub)
+    result = replicate(config, 16, {"stub": _second_moment_stub})["stub"]
     assert result.sigma2_errors.std() > 0.0
     assert len(np.unique(result.eta2_errors)) == 16
     other = replicate(
-        SimulationConfig(T=30, n=2, sigma2=0.4, eta2=1.1, seed=12), 16, _second_moment_stub
-    )
+        SimulationConfig(T=30, n=2, sigma2=0.4, eta2=1.1, seed=12), 16, {"stub": _second_moment_stub}
+    )["stub"]
     assert not np.array_equal(result.sigma2_errors, other.sigma2_errors)
 
 
 def test_doubling_replications_shrinks_stderr_by_root_two():
     config = SimulationConfig(T=30, n=2, sigma2=0.4, eta2=1.1, seed=13)
-    half = replicate(config, 200, _second_moment_stub)
-    full = replicate(config, 400, _second_moment_stub)
+    half = replicate(config, 200, {"stub": _second_moment_stub})["stub"]
+    full = replicate(config, 400, {"stub": _second_moment_stub})["stub"]
     # spawned children are keyed by index, so the first 200 replications agree
     np.testing.assert_array_equal(full.sigma2_errors[:200], half.sigma2_errors)
     ratio = half.stderr_sigma2 / full.stderr_sigma2
@@ -240,8 +242,8 @@ def test_doubling_replications_shrinks_stderr_by_root_two():
 
 def test_parallel_replications_match_serial():
     config = SimulationConfig(T=40, n=2, sigma2=0.4, eta2=1.1, seed=14)
-    serial = replicate(config, 12, _second_moment_stub, max_workers=1)
-    parallel = replicate(config, 12, _second_moment_stub, max_workers=3)
+    serial = replicate(config, 12, {"stub": _second_moment_stub}, max_workers=1)["stub"]
+    parallel = replicate(config, 12, {"stub": _second_moment_stub}, max_workers=3)["stub"]
     np.testing.assert_array_equal(serial.sigma2_errors, parallel.sigma2_errors)
     np.testing.assert_array_equal(serial.eta2_errors, parallel.eta2_errors)
 
@@ -249,4 +251,23 @@ def test_parallel_replications_match_serial():
 def test_replicate_requires_two_replications():
     config = SimulationConfig(T=10, n=1, sigma2=1.0, eta2=1.0, seed=15)
     with pytest.raises(ValueError, match="replications"):
-        replicate(config, 1, _second_moment_stub)
+        replicate(config, 1, {"stub": _second_moment_stub})
+
+
+def test_estimators_share_each_dataset_without_changing_results():
+    # one replicate over two estimators equals one replicate per estimator
+    def stve_point(dataset):
+        result = estimate(dataset)
+        return result.sigma2, result.eta2
+
+    def mle_point(dataset):
+        result = mle_fit(dataset)
+        return result.sigma2, result.eta2
+
+    config = SimulationConfig(T=40, n=3, sigma2=0.5, eta2=2.0, seed=16)
+    both = replicate(config, 6, {"stve": stve_point, "mle": mle_point})
+    assert list(both) == ["stve", "mle"]
+    for name, fn in (("stve", stve_point), ("mle", mle_point)):
+        alone = replicate(config, 6, {name: fn})[name]
+        assert np.array_equal(both[name].sigma2_errors, alone.sigma2_errors)
+        assert np.array_equal(both[name].eta2_errors, alone.eta2_errors)
