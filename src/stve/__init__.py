@@ -41,12 +41,9 @@ from .estimator import (
 )
 from .kalman import KalmanConfig, KalmanTrajectory, run_filter
 from .operators import (
-    NormSummary,
     RegressionDataset,
-    difference_spectrum,
     filter_rows,
     gram_matrix,
-    norm_summary,
     select_rows,
 )
 from .simulator import (
@@ -77,7 +74,6 @@ __all__ = [
     "MomentCheck",
     "NOISE_FAMILIES",
     "NoiseSpec",
-    "NormSummary",
     "OnlineGradientConfig",
     "OnlineGradientRun",
     "RegressionDataset",
@@ -86,7 +82,6 @@ __all__ = [
     "SpectralFunctionals",
     "StveConfig",
     "StveEstimate",
-    "difference_spectrum",
     "eigendecompose",
     "estimate",
     "filter_rows",
@@ -94,7 +89,6 @@ __all__ = [
     "gram_matrix",
     "mle_fit",
     "moment_equation_check",
-    "norm_summary",
     "online_gradient_run",
     "quadratic_forms",
     "read_csv",

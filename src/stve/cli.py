@@ -6,7 +6,7 @@ errors or out of memory, 3 invalid arguments or option values (checked
 before any work starts).  Output tables are plot-ready CSV whose first line
 is a '#' comment carrying the run manifest (deterministic fields only, so
 repeated runs with the same seed are byte-identical); wall-clock duration goes
-to stderr.  STVE_THREADS caps the benchmark's worker processes.
+to stderr.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from functools import partial
@@ -318,26 +317,14 @@ def _resolve_benchmark_config(args) -> dict:
         reps = int(resolved["reps"])
     except (TypeError, ValueError):
         raise _UsageError("T grid and reps must be integers") from None
-    if len(resolved["t_grid"]) < 3:
-        raise _UsageError("T grid needs at least 3 values")
+    if len(set(resolved["t_grid"])) < 3:
+        raise _UsageError("T grid needs at least 3 distinct values")
     if reps < 2:
         raise _UsageError("reps must be at least 2")
     unknown = [e for e in resolved["estimators"] if e not in ("stve", "mle")]
     if unknown or not resolved["estimators"]:
         raise _UsageError("estimators must be a non-empty subset of {stve, mle}")
     return resolved
-
-
-def _worker_count() -> int:
-    workers = min(os.cpu_count() or 1, 8)
-    cap = os.environ.get("STVE_THREADS")
-    if cap is not None:
-        try:
-            cap_value = int(cap)
-        except ValueError:
-            raise _UsageError("STVE_THREADS must be an integer") from None
-        workers = min(workers, max(1, cap_value))
-    return workers
 
 
 def _cmd_benchmark(args) -> int:
@@ -371,7 +358,6 @@ def _cmd_benchmark(args) -> int:
         n=cell.n,
         noise_family=cell.noise_family,
         seed=seed,
-        max_workers=_worker_count(),
     )
     manifest = _manifest("benchmark", resolved)
     header = [
@@ -563,7 +549,7 @@ def _build_parser() -> _Parser:
     p_bench = sub.add_parser("benchmark", help="error-decay table over a horizon grid")
     p_bench.add_argument("--config", help="JSON config file; flags override it")
     p_bench.add_argument("--reps", type=int)
-    p_bench.add_argument("--T-grid", dest="t_grid", help="comma-separated horizons (>= 3)")
+    p_bench.add_argument("--T-grid", dest="t_grid", help="comma-separated horizons (>= 3 distinct)")
     p_bench.add_argument("--sigma2", type=float)
     p_bench.add_argument("--eta2", type=float)
     p_bench.add_argument("--n", type=int)

@@ -25,7 +25,6 @@ from .operators import (
     RegressionDataset,
     filter_rows,
     gram_matrix,
-    norm_summary,
 )
 from .simulator import NoiseSpec
 from .spectral import GramSpectrum, SpectralFunctionals, eigendecompose, functionals, quadratic_forms
@@ -179,10 +178,10 @@ def estimate(dataset: RegressionDataset, config: StveConfig | None = None) -> St
             "estimates may be unstable"
         )
 
-    summary = norm_summary(filtered)
-    gap_lower_bound = (summary.u_tilde_min / (filtered.dim * summary.u_max_norm)) * (
-        funcs.pinv_hs_sq / effective
-    )
+    # Smallest |sum_j u[t, j]| over the largest row norm drives the gap bound.
+    u_tilde_min = float(np.abs(filtered.u.sum(axis=1)).min())
+    u_max_norm = float(filtered.row_norms().max())
+    gap_lower_bound = (u_tilde_min / (filtered.dim * u_max_norm)) * (funcs.pinv_hs_sq / effective)
 
     return StveEstimate(
         sigma2=float(sigma2),

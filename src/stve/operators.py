@@ -22,10 +22,7 @@ import numpy as np
 __all__ = [
     "DEFAULT_MIN_ROW_NORM",
     "RegressionDataset",
-    "NormSummary",
     "gram_matrix",
-    "difference_spectrum",
-    "norm_summary",
     "filter_rows",
     "select_rows",
 ]
@@ -108,33 +105,6 @@ class RegressionDataset:
         return np.linalg.norm(self.u, axis=1)
 
 
-@dataclass(frozen=True)
-class NormSummary:
-    """Row-norm extremes of the observed rows.
-
-    u_tilde_* are extremes of |sum_j u[t, j]|, the coordinate sums that drive
-    the structural lower bound on the spectral gap.
-    """
-
-    u_min_norm: float
-    u_max_norm: float
-    u_tilde_min: float
-    u_tilde_max: float
-
-
-def norm_summary(dataset: RegressionDataset) -> NormSummary:
-    """Norm extremes over the observed rows of the dataset."""
-    rows = dataset.u[dataset.observed]
-    norms = np.linalg.norm(rows, axis=1)
-    sums = np.abs(rows.sum(axis=1))
-    return NormSummary(
-        u_min_norm=float(norms.min()),
-        u_max_norm=float(norms.max()),
-        u_tilde_min=float(sums.min()),
-        u_tilde_max=float(sums.max()),
-    )
-
-
 def _require_filtered(dataset: RegressionDataset) -> None:
     if not bool(dataset.observed.all()):
         raise ValueError("dataset has unobserved rows; apply filter_rows first")
@@ -152,17 +122,6 @@ def gram_matrix(dataset: RegressionDataset) -> np.ndarray:
     _require_filtered(dataset)
     times = dataset.time_index.astype(np.float64)
     return np.minimum.outer(times, times) * (dataset.u @ dataset.u.T)
-
-
-def difference_spectrum(horizon: int) -> np.ndarray:
-    """Singular values of the (T-1) x T first-difference map, descending.
-
-    Closed form: 2 sin(pi (T - l) / (2 T)) for l = 1, ..., T-1.
-    """
-    if horizon < 2:
-        raise ValueError("horizon must be at least 2")
-    l = np.arange(1, horizon, dtype=np.float64)
-    return 2.0 * np.sin(np.pi * (horizon - l) / (2.0 * horizon))
 
 
 def select_rows(dataset: RegressionDataset, rows: np.ndarray) -> RegressionDataset:

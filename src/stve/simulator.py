@@ -4,8 +4,7 @@ Data generation is bitwise reproducible from the config seed: the generator
 is numpy's default PRNG seeded through a SeedSequence, and draws happen in a
 fixed order (observation vectors if random, then process noise, then
 observation noise).  Replications derive independent child streams by
-spawning the base SeedSequence, so results do not depend on execution order
-or parallelism.
+spawning the base SeedSequence, so results do not depend on execution order.
 
 Estimators only ever receive the dataset; the hidden coefficient path is
 returned separately and never crosses that interface.
@@ -13,7 +12,6 @@ returned separately and never crosses that interface.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -186,36 +184,26 @@ class ReplicationResult:
         return float(self.eta2_errors.std(ddof=1) / math.sqrt(self.replications))
 
 
-def _replication_errors(job: tuple[SimulationConfig, np.random.SeedSequence, dict[str, Estimator]]) -> list:
-    config, child, estimators = job
-    dataset, _states = simulate(config, child)
-    estimates = [estimator(dataset) for estimator in estimators.values()]
-    return [(abs(float(s) - config.sigma2), abs(float(e) - config.eta2)) for s, e in estimates]
-
-
 def replicate(
     config: SimulationConfig,
     replications: int,
     estimators: dict[str, Estimator],
-    max_workers: int = 1,
 ) -> dict[str, ReplicationResult]:
     """Run independent replications of simulate + estimate and collect |error|s.
 
     Every estimator sees the same simulated dataset in each replication, so
     estimators that share a spectrum (stve.estimator.spectral_system) compute
-    it once.  Returns one ReplicationResult per estimator name.  Child streams are spawned from SeedSequence(config.seed), one per
-    replication, so the result is deterministic for a given config and
-    independent of max_workers.
+    it once.  Returns one ReplicationResult per estimator name.  Child streams
+    are spawned from SeedSequence(config.seed), one per replication, so the
+    result is deterministic for a given config.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications for standard errors")
-    children = np.random.SeedSequence(config.seed).spawn(replications)
-    jobs = [(config, child, estimators) for child in children]
-    if max_workers <= 1:
-        pairs = [_replication_errors(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            pairs = list(pool.map(_replication_errors, jobs, chunksize=max(1, replications // (4 * max_workers))))
+    pairs = []
+    for child in np.random.SeedSequence(config.seed).spawn(replications):
+        dataset, _states = simulate(config, child)
+        estimates = [estimator(dataset) for estimator in estimators.values()]
+        pairs.append([(abs(float(s) - config.sigma2), abs(float(e) - config.eta2)) for s, e in estimates])
     errors = np.array(pairs, dtype=np.float64)  # (replication, estimator, variance)
     return {
         name: ReplicationResult(sigma2_errors=errors[:, k, 0].copy(), eta2_errors=errors[:, k, 1].copy())
@@ -232,7 +220,6 @@ def benchmark_table(
     n: int,
     noise_family: str = "gaussian",
     seed: int = 0,
-    max_workers: int = 1,
 ):
     """Error table over a horizon grid: one row dict per (T, estimator).
 
@@ -240,8 +227,9 @@ def benchmark_table(
     one replicate over all estimators, so every estimator sees the same
     simulated datasets and comparisons are paired.  Returns (rows, slopes)
     where slopes maps estimator name to a dict with the log-log decay slope
-    per variance and a defined flag (False when a mean error is zero or not
-    finite, e.g. under a truth-returning estimator).
+    per variance and a defined flag (False when the grid has fewer than 2
+    distinct horizons, or when a mean error is zero or not finite, e.g. under
+    a truth-returning estimator).
     """
     grid = [int(t) for t in t_grid]
     children = np.random.SeedSequence(seed).spawn(len(grid))
@@ -251,7 +239,7 @@ def benchmark_table(
         config = SimulationConfig(
             T=horizon, n=n, sigma2=sigma2, eta2=eta2, noise_family=noise_family, seed=cell_seed
         )
-        for name, result in replicate(config, replications, estimators, max_workers=max_workers).items():
+        for name, result in replicate(config, replications, estimators).items():
             rows.append(
                 {
                     "T": horizon,
@@ -264,12 +252,13 @@ def benchmark_table(
                 }
             )
     slopes: dict[str, dict] = {}
+    distinct = len(set(grid)) >= 2
     log_t = np.log(np.array(grid, dtype=np.float64))
     for name in estimators:
         slopes[name] = {}
         for param in ("sigma2", "eta2"):
             values = np.array([row[f"mean_abs_err_{param}"] for row in rows if row["estimator"] == name])
-            if len(grid) >= 2 and np.all(values > 0.0) and np.all(np.isfinite(values)):
+            if distinct and np.all(values > 0.0) and np.all(np.isfinite(values)):
                 slope = float(np.polyfit(log_t, np.log(values), 1)[0])
                 slopes[name][param] = {"slope": slope, "defined": True}
             else:

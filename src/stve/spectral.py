@@ -48,10 +48,6 @@ class GramSpectrum:
     def order(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def singular_values(self) -> np.ndarray:
-        """Singular values of the system operator, descending."""
-        return np.sqrt(self.eigenvalues)
-
 
 @dataclass(frozen=True)
 class SpectralFunctionals:

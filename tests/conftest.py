@@ -21,6 +21,15 @@ def make_dataset(rng, T, n, missing=(), y=None, u=None):
     return RegressionDataset(u=u, y=y, observed=observed)
 
 
+def difference_spectrum(horizon):
+    """Singular values of the (T-1) x T first-difference map, descending.
+
+    Closed form: 2 sin(pi (T - l) / (2 T)) for l = 1, ..., T-1.
+    """
+    l = np.arange(1, horizon, dtype=np.float64)
+    return 2.0 * np.sin(np.pi * (horizon - l) / (2.0 * horizon))
+
+
 def dense_system_matrix(dataset):
     """The system matrix, materialized row by row; the dense test oracle.
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_force_pinv_quantities, make_dataset
+from conftest import brute_force_pinv_quantities, difference_spectrum, make_dataset
 from test_cli import parse_table, run_cli
 from test_kalman import scalar_oracle
 
@@ -21,13 +21,12 @@ from stve.baselines import (
     stationary_regression,
     tune_learning_rate,
 )
-from stve.cli import _stve_point_estimator, _worker_count
+from stve.cli import _stve_point_estimator
 from stve.dataio import write_csv
 from stve.estimator import estimate, moment_equation_check
 from stve.kalman import KalmanConfig, run_filter
 from stve.operators import (
     RegressionDataset,
-    difference_spectrum,
     gram_matrix,
     select_rows,
 )
@@ -58,7 +57,7 @@ def test_criterion_1_closed_form_spectrum_oracle():
     # shifted-sine sandwich.
     for T in (5, 20, 100):
         ds = RegressionDataset(u=np.ones((T, 1)), y=np.zeros(T))
-        lam = np.sort(1.0 / eigendecompose(gram_matrix(ds)).singular_values())[::-1]
+        lam = np.sort(1.0 / np.sqrt(eigendecompose(gram_matrix(ds)).eigenvalues))[::-1]
         t = np.arange(1, T + 1, dtype=np.float64)
         lower = 2.0 * np.sin(np.pi * (T - t) / (2.0 * (T + 1)))
         upper = 2.0 * np.sin(np.pi * (T + 1 - t) / (2.0 * (T + 1)))
@@ -152,7 +151,6 @@ def test_criterion_4_error_decay_rates():
         n=5,
         noise_family="gaussian",
         seed=0,
-        max_workers=_worker_count(),
     )
     ordered = sorted(rows, key=lambda row: row["T"])
     sig = [row["mean_abs_err_sigma2"] for row in ordered]
@@ -318,7 +316,7 @@ def test_criterion_9_nuclear_norm_bound():
         n = int(rng.integers(1, 9))
         u = rng.normal(size=(T, n)) * float(rng.uniform(0.3, 3.0))
         ds = RegressionDataset(u=u, y=np.zeros(T))
-        nuclear = float(eigendecompose(gram_matrix(ds)).singular_values().sum())
+        nuclear = float(np.sqrt(eigendecompose(gram_matrix(ds)).eigenvalues).sum())
         u_max = float(np.linalg.norm(u, axis=1).max())
         assert nuclear <= 4.0 * n * u_max * T * math.log(T)
 

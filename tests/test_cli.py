@@ -449,6 +449,8 @@ def test_benchmark_unknown_config_key_exits_3(tmp_path):
         ["benchmark", "--T-grid", "1,14,20", "--reps", "2"],
         ["benchmark", "--T-grid", "10,x,20", "--reps", "2"],
         ["benchmark", "--T-grid", "10,14,20", "--reps", "2", "--seed", "-1"],
+        ["benchmark", "--T-grid", "20,20,20", "--reps", "3", "--estimators", "stve"],
+        ["benchmark", "--T-grid", "10,10,20", "--reps", "3", "--estimators", "stve"],
     ],
 )
 def test_benchmark_validation_exits_3(argv):
@@ -481,9 +483,8 @@ def test_benchmark_runs_mle(tmp_path):
         assert all(np.isfinite(float(v)) for v in row[2:6])
 
 
-def test_benchmark_estimators_together_match_separate_runs(monkeypatch):
+def test_benchmark_estimators_together_match_separate_runs():
     # stve and mle share each simulated dataset; their rows are unchanged
-    monkeypatch.setenv("STVE_THREADS", "1")
     argv = ["benchmark", "--T-grid", "10,14,20", "--reps", "3", "--seed", "8", "--estimators"]
     tables = {}
     for estimators in ("stve,mle", "stve", "mle"):
@@ -493,31 +494,6 @@ def test_benchmark_estimators_together_match_separate_runs(monkeypatch):
     together = tables["stve,mle"]
     assert together[0::2] == tables["stve"]
     assert together[1::2] == tables["mle"]
-
-
-def test_benchmark_thread_cap_is_behavior_neutral(tmp_path):
-    # STVE_THREADS caps parallelism without changing any output byte
-    argv = ["benchmark", "--T-grid", "10,14,20", "--reps", "4", "--estimators",
-            "stve", "--seed", "9"]
-    outputs = []
-    for threads, name in (("1", "serial.csv"), ("2", "parallel.csv")):
-        out_path = tmp_path / name
-        proc = subprocess.run(
-            [sys.executable, "-m", "stve.cli", *argv[0:1], *argv[1:], "--out", str(out_path)],
-            capture_output=True, text=True, cwd=tmp_path,
-            env=child_env({"PATH": os.defpath, "STVE_THREADS": threads}),
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(out_path.read_bytes())
-    assert outputs[0] == outputs[1]
-
-
-def test_invalid_thread_cap_exits_3(monkeypatch):
-    monkeypatch.setenv("STVE_THREADS", "many")
-    code, _out, _err = run_cli(
-        ["benchmark", "--T-grid", "10,14,20", "--reps", "2", "--estimators", "stve"]
-    )
-    assert code == 3
 
 
 # ---------------------------------------------------------------------------

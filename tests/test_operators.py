@@ -3,14 +3,12 @@ import pytest
 
 from stve import (
     RegressionDataset,
-    difference_spectrum,
     filter_rows,
     gram_matrix,
-    norm_summary,
     select_rows,
 )
 
-from conftest import dense_system_matrix, make_dataset
+from conftest import dense_system_matrix, difference_spectrum, make_dataset
 
 
 class TestRegressionDataset:
@@ -143,11 +141,11 @@ class TestSystemHsNorm:
         rng = np.random.default_rng(200 + trial)
         T = int(rng.integers(5, 60))
         ds = make_dataset(rng, T, int(rng.integers(1, 4)))
-        ns = norm_summary(ds)
+        norms = np.linalg.norm(ds.u, axis=1)
         hs = float(np.trace(gram_matrix(ds)))
-        assert hs >= 0.25 * ns.u_min_norm**2 * T**2 - 1e-12
+        assert hs >= 0.25 * norms.min() ** 2 * T**2 - 1e-12
         # exact discrete upper bound: sum of t over t<=T is T(T+1)/2
-        assert hs <= 0.5 * ns.u_max_norm**2 * T * (T + 1) + 1e-12
+        assert hs <= 0.5 * norms.max() ** 2 * T * (T + 1) + 1e-12
 
 
 class TestDifferenceSpectrum:
@@ -169,24 +167,6 @@ class TestDifferenceSpectrum:
         assert np.all(np.diff(closed) <= 0)
         assert np.all(closed < 2.0)
         assert np.allclose(np.sort(sv)[::-1], closed, atol=1e-12)
-
-
-class TestNormSummary:
-    def test_invariants(self, rng):
-        for _ in range(10):
-            T = int(rng.integers(2, 30))
-            n = int(rng.integers(1, 6))
-            ds = make_dataset(rng, T, n)
-            ns = norm_summary(ds)
-            assert 0.0 <= ns.u_min_norm <= ns.u_max_norm
-            assert 0.0 <= ns.u_tilde_min <= ns.u_tilde_max
-            assert ns.u_tilde_max <= np.sqrt(n) * ns.u_max_norm + 1e-12
-
-    def test_only_observed_rows_counted(self):
-        u = np.array([[10.0], [1.0], [2.0]])
-        ds = RegressionDataset(u=u, y=np.zeros(3), observed=[False, True, True])
-        ns = norm_summary(ds)
-        assert ns.u_max_norm == pytest.approx(2.0)
 
 
 class TestFilterRows:

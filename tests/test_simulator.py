@@ -14,11 +14,12 @@ from stve import (
     replicate,
     simulate,
 )
+from stve.simulator import benchmark_table
 
 
 def _second_moment_stub(dataset):
     # Cheap deterministic per-dataset estimator with O(1) spread across
-    # replications; must be module-level so worker processes can import it.
+    # replications.
     return float(np.mean(dataset.y**2)), float(np.var(dataset.y))
 
 
@@ -240,14 +241,6 @@ def test_doubling_replications_shrinks_stderr_by_root_two():
     assert 1.2 < ratio_eta < 1.7
 
 
-def test_parallel_replications_match_serial():
-    config = SimulationConfig(T=40, n=2, sigma2=0.4, eta2=1.1, seed=14)
-    serial = replicate(config, 12, {"stub": _second_moment_stub}, max_workers=1)["stub"]
-    parallel = replicate(config, 12, {"stub": _second_moment_stub}, max_workers=3)["stub"]
-    np.testing.assert_array_equal(serial.sigma2_errors, parallel.sigma2_errors)
-    np.testing.assert_array_equal(serial.eta2_errors, parallel.eta2_errors)
-
-
 def test_replicate_requires_two_replications():
     config = SimulationConfig(T=10, n=1, sigma2=1.0, eta2=1.0, seed=15)
     with pytest.raises(ValueError, match="replications"):
@@ -271,3 +264,13 @@ def test_estimators_share_each_dataset_without_changing_results():
         alone = replicate(config, 6, {name: fn})[name]
         assert np.array_equal(both[name].sigma2_errors, alone.sigma2_errors)
         assert np.array_equal(both[name].eta2_errors, alone.eta2_errors)
+
+
+@pytest.mark.filterwarnings("error")
+def test_benchmark_table_slope_undefined_on_a_single_horizon():
+    # repeating one horizon gives nothing to fit a decay slope to
+    rows, slopes = benchmark_table([20, 20, 20], 3, {"stub": _second_moment_stub}, sigma2=0.4, eta2=1.1, n=2)
+    assert [row["T"] for row in rows] == [20, 20, 20]
+    for param in ("sigma2", "eta2"):
+        assert slopes["stub"][param]["defined"] is False
+        assert math.isnan(slopes["stub"][param]["slope"])
