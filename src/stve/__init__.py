@@ -17,7 +17,6 @@ zero-mean noise of variance eta2.  The package provides
 """
 from .baselines import (
     MleResult,
-    OnlineGradientConfig,
     OnlineGradientRun,
     mle_fit,
     online_gradient_run,
@@ -74,7 +73,6 @@ __all__ = [
     "MomentCheck",
     "NOISE_FAMILIES",
     "NoiseSpec",
-    "OnlineGradientConfig",
     "OnlineGradientRun",
     "RegressionDataset",
     "ReplicationResult",

@@ -1,10 +1,13 @@
 """Prediction baselines: online gradient descent, stationary least squares,
 and the exact Gaussian maximum-likelihood fit of the two noise variances.
 
-The likelihood fit reads the Gram spectrum from
+Both searches here are one fixed policy, `_scan_then_golden`: an equispaced
+scan, then a golden-section refine on the two cells beside the scan's best
+point.  `tune_learning_rate` scans the online-gradient sse over the rate in
+[0, 2], about 126 passes per tune.  `mle_fit` reads the Gram spectrum from
 `stve.estimator.spectral_system`, so after `estimate` on the same dataset it
-costs no second eigendecomposition: eta2 is profiled out in closed form and a
-golden-section search runs over log(sigma2 / eta2), O(T') per evaluation."""
+costs no second eigendecomposition: eta2 is profiled out in closed form and
+the search runs over log(sigma2 / eta2), O(T') per evaluation."""
 from __future__ import annotations
 
 import math
@@ -18,7 +21,6 @@ from .kalman import run_filter  # noqa: F401
 from .operators import RegressionDataset
 
 __all__ = [
-    "OnlineGradientConfig",
     "OnlineGradientRun",
     "MleResult",
     "online_gradient_run",
@@ -31,41 +33,23 @@ DIVERGENCE_LIMIT = 1e12
 
 
 @dataclass(frozen=True, eq=False)
-class OnlineGradientConfig:
-    """learning_rate is a non-negative scalar, or a per-step sequence so that
-    externally computed gain schedules can be injected."""
-
-    learning_rate: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        rate = np.array(self.learning_rate, dtype=np.float64)
-        if rate.ndim not in (0, 1):
-            raise ValueError("learning_rate must be a scalar or a 1-D sequence")
-        if not (np.all(np.isfinite(rate)) and np.all(rate >= 0.0)):
-            raise ValueError("learning_rate must be finite and non-negative")
-        rate.setflags(write=False)
-        object.__setattr__(self, "learning_rate", rate)
-
-
-@dataclass(frozen=True, eq=False)
 class OnlineGradientRun:
     states: np.ndarray
     predictions: np.ndarray
     sse: float
 
 
-def online_gradient_run(dataset: RegressionDataset, config: OnlineGradientConfig) -> OnlineGradientRun:
+def online_gradient_run(dataset: RegressionDataset, rate: float) -> OnlineGradientRun:
     """x <- x + rate * u * (y - <x, u>) from x = 0, at observed steps; missing
     steps predict but do not update.  sse sums squared prediction errors over
-    observed steps.  Raises RuntimeError if the state norm exceeds 1e12."""
+    observed steps.  Raises ValueError unless rate is a finite non-negative
+    scalar, and RuntimeError if the state norm exceeds 1e12."""
+    if np.ndim(rate) != 0:
+        raise ValueError("learning rate must be a scalar")
+    rate = float(rate)
+    if not (math.isfinite(rate) and rate >= 0.0):
+        raise ValueError("learning rate must be finite and non-negative")
     horizon, dim = dataset.horizon, dataset.dim
-    rate = config.learning_rate
-    if rate.ndim == 0:
-        rates = np.full(horizon, float(rate))
-    else:
-        if rate.shape[0] != horizon:
-            raise ValueError("per-step learning_rate length must equal the horizon")
-        rates = rate
     state = np.zeros(dim)
     states = np.empty((horizon, dim))
     predictions = np.empty(horizon)
@@ -77,7 +61,7 @@ def online_gradient_run(dataset: RegressionDataset, config: OnlineGradientConfig
         if dataset.observed[t]:
             err = dataset.y[t] - pred
             sse += err * err
-            state = state + rates[t] * err * u
+            state = state + rate * err * u
             if float(state @ state) > DIVERGENCE_LIMIT * DIVERGENCE_LIMIT:
                 raise RuntimeError(f"online gradient diverged at step {t + 1}")
         states[t] = state
@@ -119,35 +103,35 @@ def _scan_then_golden(func, grid: np.ndarray, grid_vals: np.ndarray, tol: float)
     return (x, v) if v < best_f else (best_x, best_f)
 
 
-def tune_learning_rate(
-    dataset: RegressionDataset,
-    search_interval: tuple[float, float] = (0.0, 2.0),
-    tol: float = 1e-6,
-) -> float:
-    """Minimize the online-gradient sse over the learning rate.
+# The learning-rate search scans [0, _RATE_MAX] and refines to width _RATE_TOL.
+_RATE_MAX = 2.0
+_RATE_SCAN_POINTS = 101
+_RATE_TOL = 1e-6
+# The likelihood search scans log(sigma2/eta2) over a bracket that reaches
+# this far past the spectrum's range: at its ends q*lambda stays below
+# exp(-_BRACKET_MARGIN) for every eigenvalue, or above exp(_BRACKET_MARGIN)
+# for every eigenvalue.  It refines to width _MLE_TOL.
+_BRACKET_MARGIN = 20.0
+_SCAN_POINTS = 61
+_MLE_TOL = 1e-8
 
-    The sse is piecewise smooth but can have local minima, so golden-section
-    search (refined to interval width tol) is multi-started on 8 equispaced
-    cells, seeded by a coarse scan; a diverging rate counts as infinite sse.
+
+def tune_learning_rate(dataset: RegressionDataset) -> float:
+    """Minimize the online-gradient sse over the learning rate in [0, 2].
+
+    A scan of 101 equispaced rates seeds a golden-section search on the two
+    cells beside the scan's best rate, refined to width 1e-6; a diverging rate
+    counts as infinite sse.  That is 101 passes plus about 25.
     """
-    lo, hi = float(search_interval[0]), float(search_interval[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo < hi):
-        raise ValueError("search_interval must satisfy 0 <= lo < hi")
 
     def sse(rate: float) -> float:
         try:
-            return online_gradient_run(dataset, OnlineGradientConfig(rate)).sse
+            return online_gradient_run(dataset, rate).sse
         except RuntimeError:
             return math.inf
 
-    grid = np.linspace(lo, hi, 101)  # includes lo and hi
-    best_x, best_f = _scan_then_golden(sse, grid, np.array([sse(a) for a in grid]), tol)
-
-    cells = np.linspace(lo, hi, 9)
-    for a, b in zip(cells[:-1], cells[1:]):
-        x, v = _golden_section(sse, a, b, tol)
-        if v < best_f:
-            best_x, best_f = x, v
+    grid = np.linspace(0.0, _RATE_MAX, _RATE_SCAN_POINTS)  # includes both ends
+    best_x, _ = _scan_then_golden(sse, grid, np.array([sse(a) for a in grid]), _RATE_TOL)
     return float(best_x)
 
 
@@ -181,14 +165,7 @@ class MleResult:
     converged: bool
 
 
-# The log(sigma2/eta2) bracket reaches this far past the spectrum's range:
-# at its ends q*lambda stays below exp(-_BRACKET_MARGIN) for every eigenvalue,
-# or above exp(_BRACKET_MARGIN) for every eigenvalue.
-_BRACKET_MARGIN = 20.0
-_SCAN_POINTS = 61
-
-
-def mle_fit(dataset: RegressionDataset, tolerance: float = 1e-8) -> MleResult:
+def mle_fit(dataset: RegressionDataset) -> MleResult:
     """Maximize the exact Gaussian likelihood of the observed responses.
 
     With the walk starting at zero, the responses of the row-filtered dataset
@@ -200,12 +177,10 @@ def mle_fit(dataset: RegressionDataset, tolerance: float = 1e-8) -> MleResult:
         (T' log(2 pi eta2(q)) + sum log(q lambda + 1) + T') / 2
 
     costs O(T') per evaluation.  A coarse scan over log q seeds a
-    golden-section search refined to width `tolerance`.  If every response is
+    golden-section search refined to width 1e-8.  If every response is
     zero the likelihood is unbounded: both variances are returned as 0 with
     loglik inf and converged False.
     """
-    if not (np.isfinite(tolerance) and tolerance > 0.0):
-        raise ValueError("tolerance must be finite and strictly positive")
     filtered, _dropped, spectrum = spectral_system(dataset)
     coef = spectrum.vectors.T @ filtered.y
     c2 = coef * coef
@@ -232,7 +207,7 @@ def mle_fit(dataset: RegressionDataset, tolerance: float = 1e-8) -> MleResult:
     lo = -math.log(lam[0]) - _BRACKET_MARGIN
     hi = -math.log(lam[-1]) + _BRACKET_MARGIN
     grid = np.linspace(lo, hi, _SCAN_POINTS)
-    best_x, best_f = _scan_then_golden(neg_loglik, grid, profile(grid)[0], tolerance)
+    best_x, best_f = _scan_then_golden(neg_loglik, grid, profile(grid)[0], _MLE_TOL)
     eta2 = float(profile(best_x)[1])
     return MleResult(
         sigma2=float(math.exp(best_x) * eta2),

@@ -23,13 +23,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .baselines import (
-    OnlineGradientConfig,
-    mle_fit,
-    online_gradient_run,
-    stationary_regression,
-    tune_learning_rate,
-)
+from .baselines import mle_fit, online_gradient_run, stationary_regression, tune_learning_rate
 from .dataio import CsvFormatError, read_csv, split_dataset, write_csv
 from .estimator import StveConfig, estimate, spectral_system
 from .kalman import KalmanConfig, run_filter
@@ -189,7 +183,9 @@ def _cmd_estimate(args) -> int:
 # --- simulate ---------------------------------------------------------------
 
 
-def _parse_missing(spec: str | None) -> tuple[int, ...]:
+def _parse_missing(spec: str | None, horizon: int) -> tuple[int, ...]:
+    # A range is checked against [1, horizon] before it is expanded, so a huge
+    # range fails at once instead of filling memory.
     if not spec:
         return ()
     indices: list[int] = []
@@ -205,6 +201,8 @@ def _parse_missing(spec: str | None) -> tuple[int, ...]:
                 raise _UsageError(f"bad --missing range {part!r}") from None
             if lo > hi:
                 raise _UsageError(f"bad --missing range {part!r}")
+            if lo < 1 or hi > horizon:
+                raise _UsageError(f"--missing range {part!r} must lie in [1, T]")
             indices.extend(range(lo, hi + 1))
         else:
             try:
@@ -223,7 +221,7 @@ def _parse_vector(text: str, flag: str) -> tuple[float, ...]:
 
 def _cmd_simulate(args) -> int:
     started = time.perf_counter()
-    missing = _parse_missing(args.missing)
+    missing = _parse_missing(args.missing, args.T)
     u_kind = args.u
     u_constant = None
     u_matrix = None
@@ -289,6 +287,14 @@ def _mle_point_estimator(dataset):
     return result.sigma2, result.eta2
 
 
+def _integer(value) -> int:
+    # Flags give int or str.  A JSON config can also give a float or a bool,
+    # which int() would silently truncate or accept.
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _resolve_benchmark_config(args) -> dict:
     resolved = dict(_BENCHMARK_DEFAULTS)
     if args.config is not None:
@@ -313,13 +319,14 @@ def _resolve_benchmark_config(args) -> dict:
     if isinstance(resolved["estimators"], str):
         resolved["estimators"] = [v.strip() for v in resolved["estimators"].split(",") if v.strip()]
     try:
-        resolved["t_grid"] = [int(v) for v in resolved["t_grid"]]
-        reps = int(resolved["reps"])
+        resolved["t_grid"] = [_integer(v) for v in resolved["t_grid"]]
+        for key in ("reps", "n", "seed"):
+            resolved[key] = _integer(resolved[key])
     except (TypeError, ValueError):
-        raise _UsageError("T grid and reps must be integers") from None
+        raise _UsageError("T grid, reps, n and seed must be integers") from None
     if len(set(resolved["t_grid"])) < 3:
         raise _UsageError("T grid needs at least 3 distinct values")
-    if reps < 2:
+    if resolved["reps"] < 2:
         raise _UsageError("reps must be at least 2")
     unknown = [e for e in resolved["estimators"] if e not in ("stve", "mle")]
     if unknown or not resolved["estimators"]:
@@ -332,15 +339,14 @@ def _cmd_benchmark(args) -> int:
     resolved = _resolve_benchmark_config(args)
     try:
         alpha = StveConfig(alpha=float(resolved["alpha"])).alpha
-        seed = int(resolved["seed"])
         # Grid cells differ only in T, so the shortest one checks them all.
         cell = SimulationConfig(
             T=min(resolved["t_grid"]),
-            n=int(resolved["n"]),
+            n=resolved["n"],
             sigma2=float(resolved["sigma2"]),
             eta2=float(resolved["eta2"]),
             noise_family=resolved["noise"],
-            seed=seed,
+            seed=resolved["seed"],
         )
     except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
@@ -351,13 +357,13 @@ def _cmd_benchmark(args) -> int:
         estimator_fns["mle"] = _mle_point_estimator
     rows, slopes = benchmark_table(
         resolved["t_grid"],
-        int(resolved["reps"]),
+        resolved["reps"],
         estimator_fns,
         sigma2=cell.sigma2,
         eta2=cell.eta2,
         n=cell.n,
         noise_family=cell.noise_family,
-        seed=seed,
+        seed=resolved["seed"],
     )
     manifest = _manifest("benchmark", resolved)
     header = [
@@ -450,7 +456,7 @@ def _cmd_filter(args) -> int:
     elif args.baseline == "og":
         rate = tune_learning_rate(train)
         resolved.update({"learning_rate": rate})
-        predictions = online_gradient_run(dataset, OnlineGradientConfig(rate)).predictions
+        predictions = online_gradient_run(dataset, rate).predictions
     else:
         coef = stationary_regression(train)
         resolved.update({"coefficients": [float(c) for c in coef]})

@@ -15,12 +15,7 @@ from conftest import brute_force_pinv_quantities, difference_spectrum, make_data
 from test_cli import parse_table, run_cli
 from test_kalman import scalar_oracle
 
-from stve.baselines import (
-    OnlineGradientConfig,
-    online_gradient_run,
-    stationary_regression,
-    tune_learning_rate,
-)
+from stve.baselines import online_gradient_run, stationary_regression, tune_learning_rate
 from stve.cli import _stve_point_estimator
 from stve.dataio import write_csv
 from stve.estimator import estimate, moment_equation_check
@@ -285,7 +280,7 @@ def test_criterion_8_baseline_ordering_on_drifting_data():
         kalman_err = float(np.mean((y[tail] - run_filter(ds, cfg).predictions[tail]) ** 2))
 
         rate = tune_learning_rate(train)
-        og_run = online_gradient_run(ds, OnlineGradientConfig(rate))
+        og_run = online_gradient_run(ds, rate)
         og_err = float(np.mean((y[tail] - og_run.predictions[tail]) ** 2))
 
         coef = stationary_regression(train)

@@ -6,9 +6,9 @@ import pytest
 from stve import (
     KalmanConfig,
     MleResult,
-    OnlineGradientConfig,
     RegressionDataset,
     SimulationConfig,
+    baselines,
     estimate,
     mle_fit,
     online_gradient_run,
@@ -28,7 +28,7 @@ from conftest import dense_system_matrix, make_dataset
 
 def test_zero_rate_default_origin_predicts_zero(rng):
     dataset = make_dataset(rng, T=9, n=2)
-    run = online_gradient_run(dataset, OnlineGradientConfig(0.0))
+    run = online_gradient_run(dataset, 0.0)
     assert np.all(run.states == 0.0)
     assert np.all(run.predictions == 0.0)
     np.testing.assert_allclose(run.sse, float(dataset.y @ dataset.y), rtol=1e-12)
@@ -40,7 +40,7 @@ def test_unit_rate_scalar_constant_u_tracks_last_observation(rng):
     T = 20
     y = rng.normal(size=T)
     dataset = make_dataset(rng, T=T, n=1, y=y, u=np.ones((T, 1)))
-    run = online_gradient_run(dataset, OnlineGradientConfig(1.0))
+    run = online_gradient_run(dataset, 1.0)
     np.testing.assert_allclose(run.states[:, 0], y, rtol=0, atol=1e-14)
     np.testing.assert_allclose(run.predictions[1:], y[:-1], rtol=0, atol=1e-14)
     assert run.predictions[0] == 0.0
@@ -54,30 +54,17 @@ def test_three_step_hand_trace(rng):
     u = np.array([[1.0], [2.0], [-1.0]])
     y = np.array([2.0, 4.0, 1.0])
     dataset = make_dataset(rng, T=3, n=1, y=y, u=u)
-    run = online_gradient_run(dataset, OnlineGradientConfig(0.5))
+    run = online_gradient_run(dataset, 0.5)
     np.testing.assert_allclose(run.predictions, [0.0, 2.0, -3.0], rtol=0, atol=1e-14)
     np.testing.assert_allclose(run.states[:, 0], [1.0, 3.0, 1.0], rtol=0, atol=1e-14)
     np.testing.assert_allclose(run.sse, 24.0, rtol=1e-14)
-
-
-def test_injected_kalman_gains_reproduce_filter_states():
-    # With per-step rates set to the scalar filter gains C_t / eta2, the
-    # gradient recursion is exactly the n=1 filter state update.
-    dataset, _ = simulate(
-        SimulationConfig(T=60, n=1, sigma2=0.7, eta2=1.3, seed=42, missing=(14, 35))
-    )
-    trajectory = run_filter(dataset, KalmanConfig(sigma2=0.7, eta2=1.3))
-    gains = trajectory.scales / 1.3
-    run = online_gradient_run(dataset, OnlineGradientConfig(gains))
-    np.testing.assert_allclose(run.states, trajectory.states, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(run.predictions, trajectory.predictions, rtol=0, atol=1e-10)
 
 
 def test_missing_steps_predict_but_do_not_update(rng):
     T = 10
     y = rng.normal(size=T)
     dataset = make_dataset(rng, T=T, n=2, missing=(4, 8), y=y)  # positions 3, 7
-    run = online_gradient_run(dataset, OnlineGradientConfig(0.3))
+    run = online_gradient_run(dataset, 0.3)
     assert np.array_equal(run.states[3], run.states[2])
     assert np.array_equal(run.states[7], run.states[6])
     # sse counts observed steps only
@@ -91,13 +78,7 @@ def test_divergence_raises(rng):
     T = 80
     dataset = make_dataset(rng, T=T, n=1, y=np.ones(T), u=np.ones((T, 1)))
     with pytest.raises(RuntimeError, match="diverged"):
-        online_gradient_run(dataset, OnlineGradientConfig(2.5))
-
-
-def test_per_step_rates_validate_length(rng):
-    dataset = make_dataset(rng, T=8, n=1)
-    with pytest.raises(ValueError, match="length"):
-        online_gradient_run(dataset, OnlineGradientConfig(np.full(7, 0.1)))
+        online_gradient_run(dataset, 2.5)
 
 
 @pytest.mark.parametrize(
@@ -105,9 +86,10 @@ def test_per_step_rates_validate_length(rng):
     [-0.5, np.nan, np.inf, np.array([[0.1, 0.2]])],
     ids=["negative", "nan", "inf", "matrix"],
 )
-def test_learning_rate_validation(rate):
+def test_learning_rate_validation(rng, rate):
+    dataset = make_dataset(rng, T=8, n=1)
     with pytest.raises(ValueError):
-        OnlineGradientConfig(rate)
+        online_gradient_run(dataset, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +108,8 @@ def test_tuned_rate_on_drifting_data_is_bounded_away_from_zero():
     dataset, _ = simulate(SimulationConfig(T=150, n=2, sigma2=5.0, eta2=0.1, seed=6))
     alpha = tune_learning_rate(dataset)
     assert alpha > 0.1
-    sse_0 = online_gradient_run(dataset, OnlineGradientConfig(0.0)).sse
-    sse_best = online_gradient_run(dataset, OnlineGradientConfig(alpha)).sse
+    sse_0 = online_gradient_run(dataset, 0.0).sse
+    sse_best = online_gradient_run(dataset, alpha).sse
     assert sse_best < 0.2 * sse_0
 
 
@@ -137,21 +119,27 @@ def test_tuned_rate_beats_dense_grid(seed):
         SimulationConfig(T=120, n=2, sigma2=0.8, eta2=0.5, seed=seed)
     )
     alpha = tune_learning_rate(dataset)
-    sse_best = online_gradient_run(dataset, OnlineGradientConfig(alpha)).sse
+    sse_best = online_gradient_run(dataset, alpha).sse
     for a in np.linspace(0.0, 2.0, 100):
         try:
-            sse_a = online_gradient_run(dataset, OnlineGradientConfig(float(a))).sse
+            sse_a = online_gradient_run(dataset, float(a)).sse
         except RuntimeError:
             continue  # diverged: infinite sse, trivially beaten
         assert sse_best <= sse_a + 1e-9
 
 
-def test_tuner_interval_validation(rng):
-    dataset = make_dataset(rng, T=10, n=1)
-    with pytest.raises(ValueError, match="interval"):
-        tune_learning_rate(dataset, search_interval=(-0.1, 1.0))
-    with pytest.raises(ValueError, match="interval"):
-        tune_learning_rate(dataset, search_interval=(1.0, 1.0))
+def test_tuner_pass_count(monkeypatch):
+    # One scan of 101 rates plus one golden-section refine of about 25 passes.
+    dataset, _ = simulate(SimulationConfig(T=40, n=2, sigma2=0.8, eta2=0.5, seed=5))
+    rates = []
+
+    def recording_run(data, rate):
+        rates.append(rate)
+        return online_gradient_run(data, rate)
+
+    monkeypatch.setattr(baselines, "online_gradient_run", recording_run)
+    tune_learning_rate(dataset)
+    assert 101 < len(rates) < 150
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +346,3 @@ def test_all_zero_responses_have_no_interior_optimum(rng):
     dataset = make_dataset(rng, T=10, n=2, y=np.zeros(10))
     fit = mle_fit(dataset)
     assert (fit.sigma2, fit.eta2, fit.loglik, fit.converged) == (0.0, 0.0, np.inf, False)
-
-
-@pytest.mark.parametrize("tolerance", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
-def test_mle_tolerance_validation(rng, tolerance):
-    dataset = make_dataset(rng, T=10, n=1)
-    with pytest.raises(ValueError, match="tolerance"):
-        mle_fit(dataset, tolerance=tolerance)

@@ -334,6 +334,18 @@ def test_simulate_missing_spec_masks_rows(tmp_path):
     assert np.array_equal(dataset.observed, expected)
 
 
+def test_simulate_huge_missing_range_exits_3_before_expanding():
+    # The range is checked against [1, T] before it is expanded: a trillion
+    # indices would not fit in memory.
+    code, out, err = run_cli(
+        ["simulate", "--T", "10", "--n", "1", "--sigma2", "1", "--eta2", "1",
+         "--missing", "1:1000000000000"]
+    )
+    assert code == 3
+    assert out == ""
+    assert "[1, T]" in err
+
+
 def test_simulate_constant_u(tmp_path):
     out_path = tmp_path / "const.csv"
     code, _out, _err = run_cli(
@@ -451,9 +463,22 @@ def test_benchmark_unknown_config_key_exits_3(tmp_path):
         ["benchmark", "--T-grid", "10,14,20", "--reps", "2", "--seed", "-1"],
         ["benchmark", "--T-grid", "20,20,20", "--reps", "3", "--estimators", "stve"],
         ["benchmark", "--T-grid", "10,10,20", "--reps", "3", "--estimators", "stve"],
+        # A dict stands for a --config file with that content: a float or a
+        # bool is not an integer, and is not truncated into one.
+        ["benchmark", "--config", {"t_grid": [10.9, 14, 20], "reps": 2}],
+        ["benchmark", "--config", {"t_grid": [10, 14, 20], "reps": 2.5}],
+        ["benchmark", "--config", {"t_grid": [10, 14, 20], "reps": 2, "n": 2.7}],
+        ["benchmark", "--config", {"t_grid": [10, 14, 20], "reps": 2, "seed": 1.5}],
+        ["benchmark", "--config", {"t_grid": [10, 14, 20], "reps": 2, "seed": True}],
+        ["benchmark", "--config", {"t_grid": [10, 14, 20], "reps": 2, "n": True}],
     ],
 )
-def test_benchmark_validation_exits_3(argv):
+def test_benchmark_validation_exits_3(argv, tmp_path):
+    config_path = tmp_path / "config.json"
+    for k, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            config_path.write_text(json.dumps(arg))
+            argv = [*argv[:k], str(config_path), *argv[k + 1 :]]
     code, _out, _err = run_cli(argv)
     assert code == 3
 
