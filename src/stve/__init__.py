@@ -31,11 +31,9 @@ from .dataio import (
 )
 from .estimator import (
     FlatSpectrumError,
-    MomentCheck,
     StveConfig,
     StveEstimate,
     estimate,
-    moment_equation_check,
     truncation_size,
 )
 from .kalman import KalmanConfig, KalmanTrajectory, run_filter
@@ -70,7 +68,6 @@ __all__ = [
     "KalmanConfig",
     "KalmanTrajectory",
     "MleResult",
-    "MomentCheck",
     "NOISE_FAMILIES",
     "NoiseSpec",
     "OnlineGradientRun",
@@ -86,7 +83,6 @@ __all__ = [
     "functionals",
     "gram_matrix",
     "mle_fit",
-    "moment_equation_check",
     "online_gradient_run",
     "quadratic_forms",
     "read_csv",

@@ -3,8 +3,9 @@ and the exact Gaussian maximum-likelihood fit of the two noise variances.
 
 Both searches here are one fixed policy, `_scan_then_golden`: an equispaced
 scan, then a golden-section refine on the two cells beside the scan's best
-point.  `tune_learning_rate` scans the online-gradient sse over the rate in
-[0, 2], about 126 passes per tune.  `mle_fit` reads the Gram spectrum from
+point.  `tune_learning_rate` scans the online-gradient sse at all 101 rates
+in [0, 2] in one pass over the rows, then refines with about 25 single-rate
+`online_gradient_run` passes.  `mle_fit` reads the Gram spectrum from
 `stve.estimator.spectral_system`, so after `estimate` on the same dataset it
 costs no second eigendecomposition: eta2 is profiled out in closed form and
 the search runs over log(sigma2 / eta2), O(T') per evaluation."""
@@ -116,12 +117,36 @@ _SCAN_POINTS = 61
 _MLE_TOL = 1e-8
 
 
+def _scan_sse(dataset: RegressionDataset, rates: np.ndarray) -> np.ndarray:
+    # online_gradient_run's sse at every rate in one pass over the observed
+    # rows, one state per rate; a rate whose state norm exceeds the
+    # divergence limit reads inf and stops updating.
+    u = dataset.u[dataset.observed]
+    y = dataset.y[dataset.observed]
+    states = np.zeros((rates.shape[0], dataset.dim))
+    gains = np.array(rates, dtype=np.float64)
+    sse = np.zeros(rates.shape[0])
+    diverged = np.zeros(rates.shape[0], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u_t, y_t in zip(u, y):
+            err = y_t - states @ u_t
+            sse += err * err
+            states += np.multiply.outer(gains * err, u_t)
+            over = np.einsum("ij,ij->i", states, states) > DIVERGENCE_LIMIT * DIVERGENCE_LIMIT
+            if over.any():
+                diverged |= over
+                gains[over] = 0.0
+    sse[diverged] = math.inf
+    return sse
+
+
 def tune_learning_rate(dataset: RegressionDataset) -> float:
     """Minimize the online-gradient sse over the learning rate in [0, 2].
 
-    A scan of 101 equispaced rates seeds a golden-section search on the two
-    cells beside the scan's best rate, refined to width 1e-6; a diverging rate
-    counts as infinite sse.  That is 101 passes plus about 25.
+    A scan of 101 equispaced rates, all in one pass over the rows, seeds a
+    golden-section search on the two cells beside the scan's best rate,
+    refined to width 1e-6 with about 25 `online_gradient_run` passes; a
+    diverging rate counts as infinite sse.
     """
 
     def sse(rate: float) -> float:
@@ -131,7 +156,7 @@ def tune_learning_rate(dataset: RegressionDataset) -> float:
             return math.inf
 
     grid = np.linspace(0.0, _RATE_MAX, _RATE_SCAN_POINTS)  # includes both ends
-    best_x, _ = _scan_then_golden(sse, grid, np.array([sse(a) for a in grid]), _RATE_TOL)
+    best_x, _ = _scan_then_golden(sse, grid, _scan_sse(dataset, grid), _RATE_TOL)
     return float(best_x)
 
 

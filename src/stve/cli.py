@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import mle_fit, online_gradient_run, stationary_regression, tune_learning_rate
-from .dataio import CsvFormatError, read_csv, split_dataset, write_csv
+from .dataio import CsvFormatError, read_csv, split_dataset, write_columns, write_csv
 from .estimator import StveConfig, estimate, spectral_system
 from .kalman import KalmanConfig, run_filter
 # Not called here: perfbench's tracer wraps stve.cli.filter_rows, gram_matrix, eigendecompose.
@@ -110,11 +110,19 @@ def _load_dataset(path: str):
     return dataset, "sha256:" + digest.hexdigest()
 
 
-def _write_table(path: str | None, comments: list[str], header: list[str], rows: list[list]) -> None:
+@contextlib.contextmanager
+def _table_file(path: str | None, comments: list[str]):
+    """The output table's stream (stdout for None or '-'), its '#' comment
+    lines already written."""
     to_stdout = path is None or path == "-"
     with contextlib.nullcontext(sys.stdout) if to_stdout else open(path, "w", newline="", encoding="utf-8") as fh:
         for comment in comments:
             fh.write("# " + comment + "\n")
+        yield fh
+
+
+def _write_table(path: str | None, comments: list[str], header: list[str], rows: list[list]) -> None:
+    with _table_file(path, comments) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -185,7 +193,9 @@ def _cmd_estimate(args) -> int:
 
 def _parse_missing(spec: str | None, horizon: int) -> tuple[int, ...]:
     # A range is checked against [1, horizon] before it is expanded, so a huge
-    # range fails at once instead of filling memory.
+    # range fails at once instead of filling memory.  Once the list holds more
+    # than horizon indices it must repeat one, so later ranges are not
+    # expanded: SimulationConfig rejects the shorter list with the same error.
     if not spec:
         return ()
     indices: list[int] = []
@@ -203,7 +213,8 @@ def _parse_missing(spec: str | None, horizon: int) -> tuple[int, ...]:
                 raise _UsageError(f"bad --missing range {part!r}")
             if lo < 1 or hi > horizon:
                 raise _UsageError(f"--missing range {part!r} must lie in [1, T]")
-            indices.extend(range(lo, hi + 1))
+            if len(indices) <= horizon:
+                indices.extend(range(lo, hi + 1))
         else:
             try:
                 indices.append(int(part))
@@ -478,19 +489,13 @@ def _cmd_filter(args) -> int:
         "test_count": int(test_mask.sum()),
     }
     manifest = _manifest("filter", resolved, input_digest=digest)
-    header = ["t", "y", "yhat", "sq_err", "smoothed_sq_err"]
-    rows = [
-        [
-            int(dataset.time_index[k]),
-            _cell(float(dataset.y[k])) if observed[k] else "",
-            _cell(float(predictions[k])),
-            _cell(float(sq_err[k])) if observed[k] else "",
-            _cell(float(smoothed[k])) if observed[k] else "",
-        ]
-        for k in range(dataset.horizon)
-    ]
     comments = [_comment("manifest", manifest), _comment("aggregate", aggregate)]
-    _write_table(args.out, comments, header, rows)
+    with _table_file(args.out, comments) as fh:
+        write_columns(
+            fh,
+            ["t", "y", "yhat", "sq_err", "smoothed_sq_err"],
+            [dataset.time_index, (dataset.y, observed), predictions, (sq_err, observed), (smoothed, observed)],
+        )
     _log_duration("filter", started)
     return 0
 
@@ -513,12 +518,12 @@ def _cmd_spectrum(args) -> int:
         {"input": args.input, "min_row_norm": args.min_row_norm},
         input_digest=digest,
     )
-    header = ["i", "gamma_sq", "chi_sq", "truncated_mean", "full_mean"]
-    rows = [
-        [i + 1, _cell(float(gamma_sq[i])), _cell(float(chi_sq[i])), _cell(float(prefix_mean[i])), _cell(full_mean)]
-        for i in range(order)
-    ]
-    _write_table(args.out, [_comment("manifest", manifest)], header, rows)
+    with _table_file(args.out, [_comment("manifest", manifest)]) as fh:
+        write_columns(
+            fh,
+            ["i", "gamma_sq", "chi_sq", "truncated_mean", "full_mean"],
+            [np.arange(1, order + 1), gamma_sq, chi_sq, prefix_mean, np.full(order, full_mean)],
+        )
     _log_duration("spectrum", started)
     return 0
 

@@ -7,12 +7,20 @@ token "nan", any case) marks a missing response; every u cell is required.
 Any other non-finite value (inf, or nan in a u cell) is malformed input.
 Lines starting with '#' are comments and are skipped, which is where run
 manifests live in files written by the CLI.
+
+The reader streams its input through `csv.reader` and converts the data rows
+in blocks of 1024, a column at a time: `int` over the t cells, `float` over the
+y and u cells, then the finiteness and ordering checks on whole arrays.  A
+block where any of that fails is walked again row by row, which reports the
+first bad row with its physical line number (a quoted cell may span lines).
+The writer formats a block of each column at once with `repr`, so floats
+round-trip exactly.
 """
 from __future__ import annotations
 
 import csv
 import math
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +30,7 @@ __all__ = [
     "CsvFormatError",
     "read_csv",
     "write_csv",
+    "write_columns",
     "split_dataset",
 ]
 
@@ -54,35 +63,111 @@ def read_csv(source: str | Iterable[str]) -> RegressionDataset:
     return _read_csv(source)
 
 
+# Data records are converted in blocks of this many, so memory holds one
+# block of cell strings, not the whole file.
+_BLOCK = 1024
+
+
 def _read_csv(fh: Iterable[str]) -> RegressionDataset:
     reader = csv.reader(fh)
-    header: list[str] | None = None
-    has_t = False
-    dim = 0
+    layout: tuple[bool, int] | None = None  # (has_t, dim), from the header
+    block: list[list[str]] = []
+    lines: list[int] = []
+    parts: list[tuple] = []
+
+    def convert() -> None:
+        has_t, dim = layout
+        prev_t = parts[-1][0][-1] if has_t and parts else 0
+        parts.append(_convert_block(block, lines, has_t, dim, prev_t))
+        block.clear()
+        lines.clear()
+
+    try:
+        for record in reader:
+            if not record or record[0].lstrip().startswith("#"):
+                continue
+            if layout is None:
+                layout = _parse_header(record, reader.line_num)
+                continue
+            block.append(record)
+            lines.append(reader.line_num)
+            if len(block) == _BLOCK:
+                convert()
+    except (csv.Error, UnicodeError):
+        # A bad row read before the unreadable line is reported first.
+        if block:
+            convert()
+        raise
+    if block:
+        convert()
+
+    if layout is None:
+        raise CsvFormatError("empty input, no header row")
+    if not parts:
+        raise CsvFormatError("no data rows")
+    has_t, dim = layout
+    times, ys, mask, rows = zip(*parts)
+    return RegressionDataset(
+        u=np.concatenate([np.asarray(r, dtype=np.float64).reshape(-1, dim) for r in rows]),
+        y=np.concatenate([np.asarray(v, dtype=np.float64) for v in ys]),
+        observed=np.concatenate([np.asarray(m, dtype=bool) for m in mask]),
+        time_index=np.concatenate([np.asarray(t, dtype=np.int64) for t in times]) if has_t else None,
+    )
+
+
+def _parse_header(record: list[str], line: int) -> tuple[bool, int]:
+    # (whether there is a t column, number of u columns)
+    header = [cell.strip() for cell in record]
+    has_t = bool(header) and header[0] == "t"
+    body = header[1:] if has_t else header
+    if not body or body[0] != "y":
+        raise CsvFormatError("header must be 't,y,u_1,...' or 'y,u_1,...'", line)
+    feats = body[1:]
+    expected = [f"u_{j}" for j in range(1, len(feats) + 1)]
+    if not feats or feats != expected:
+        raise CsvFormatError(f"feature columns must be u_1..u_n in order, got {feats}", line)
+    return has_t, len(feats)
+
+
+def _convert_block(records: list[list[str]], lines: list[int], has_t: bool, dim: int, prev_t: int) -> tuple:
+    """(t, y, observed, u) of a block of data records, converted a column at
+    a time.  A cell or check that fails in bulk sends the block through
+    `_parse_rows`, which walks it row by row and raises the first error at its
+    line (or accepts what only fails in bulk, such as a blank y cell padded
+    with spaces)."""
+    first = 1 if has_t else 0
+    count = len(records)
+    if set(map(len, records)) != {first + 1 + dim}:
+        return _parse_rows(records, lines, has_t, dim, prev_t)
+    columns = list(zip(*records))
+    y_cells = columns[first]
+    try:
+        times = np.fromiter(map(int, columns[0]), np.int64, count) if has_t else None
+        y = np.fromiter(map(float, [cell or "nan" for cell in y_cells]), np.float64, count)
+        u = np.empty((count, dim))
+        for j in range(dim):
+            u[:, j] = np.fromiter(map(float, columns[first + 1 + j]), np.float64, count)
+        ordered = not has_t or (times[0] > prev_t and np.all(np.diff(times) > 0))
+    except (ValueError, OverflowError):
+        return _parse_rows(records, lines, has_t, dim, prev_t)
+    observed = np.isfinite(y)
+    if (
+        not ordered
+        or not np.all(np.isfinite(u))
+        or any(y_cells[k].strip().lower() not in ("", "nan") for k in np.flatnonzero(~observed))
+    ):
+        return _parse_rows(records, lines, has_t, dim, prev_t)
+    return times, y, observed, u
+
+
+def _parse_rows(records: list[list[str]], lines: list[int], has_t: bool, dim: int, prev_t: int) -> tuple:
+    # The reference parse: one row at a time, checks in the order of the cells.
     times: list[int] = []
     ys: list[float] = []
     mask: list[bool] = []
     rows: list[list[float]] = []
-
-    for record in reader:
-        line = reader.line_num
-        if not record or (record[0].lstrip().startswith("#")):
-            continue
+    for record, line in zip(records, lines):
         cells = [cell.strip() for cell in record]
-        if header is None:
-            header = cells
-            has_t = bool(header) and header[0] == "t"
-            body = header[1:] if has_t else header
-            if not body or body[0] != "y":
-                raise CsvFormatError("header must be 't,y,u_1,...' or 'y,u_1,...'", line)
-            feats = body[1:]
-            expected = [f"u_{j}" for j in range(1, len(feats) + 1)]
-            if not feats or feats != expected:
-                raise CsvFormatError(
-                    f"feature columns must be u_1..u_n in order, got {feats}", line
-                )
-            dim = len(feats)
-            continue
         if len(cells) != dim + 1 + (1 if has_t else 0):
             raise CsvFormatError(
                 f"expected {dim + 1 + (1 if has_t else 0)} cells, got {len(cells)}", line
@@ -93,7 +178,7 @@ def _read_csv(fh: Iterable[str]) -> RegressionDataset:
                 t_val = int(cells[0])
             except ValueError:
                 raise CsvFormatError(f"cannot parse t value {cells[0]!r}", line) from None
-            if t_val < 1 or (times and t_val <= times[-1]):
+            if t_val < 1 or t_val <= (times[-1] if times else prev_t):
                 raise CsvFormatError("t values must be 1-based and strictly increasing", line)
             times.append(t_val)
             pos = 1
@@ -110,17 +195,7 @@ def _read_csv(fh: Iterable[str]) -> RegressionDataset:
                 raise CsvFormatError(f"missing u_{j} cell", line)
             u_row.append(_parse_float(cell, f"u_{j}", line))
         rows.append(u_row)
-
-    if header is None:
-        raise CsvFormatError("empty input, no header row")
-    if not rows:
-        raise CsvFormatError("no data rows")
-    return RegressionDataset(
-        u=np.array(rows, dtype=np.float64),
-        y=np.array(ys, dtype=np.float64),
-        observed=np.array(mask, dtype=bool),
-        time_index=np.array(times, dtype=np.int64) if has_t else None,
-    )
+    return times, ys, mask, rows
 
 
 def write_csv(dataset: RegressionDataset, destination: str | IO[str], comment: str | None = None) -> None:
@@ -135,14 +210,32 @@ def write_csv(dataset: RegressionDataset, destination: str | IO[str], comment: s
 def _write_csv(dataset: RegressionDataset, fh: IO[str], comment: str | None) -> None:
     if comment is not None:
         fh.write("# " + comment.rstrip("\n") + "\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["t", "y"] + [f"u_{j}" for j in range(1, dataset.dim + 1)])
-    for k in range(dataset.horizon):
-        y_cell = repr(float(dataset.y[k])) if dataset.observed[k] else ""
-        writer.writerow(
-            [int(dataset.time_index[k]), y_cell]
-            + [repr(float(v)) for v in dataset.u[k]]
-        )
+    write_columns(
+        fh,
+        ["t", "y"] + [f"u_{j}" for j in range(1, dataset.dim + 1)],
+        [dataset.time_index, (dataset.y, dataset.observed), *dataset.u.T],
+    )
+
+
+def write_columns(fh: IO[str], header: Sequence[str], columns: Sequence) -> None:
+    """Write a header line, then one comma-separated line per row.
+
+    Each column is an array, or a pair (array, shown) whose cells are empty
+    where shown is False.  A cell is the repr of the Python number, so floats
+    keep full precision.  Rows are formatted a block at a time, each column of
+    a block at once.
+    """
+    fh.write(",".join(header) + "\n")
+    columns = [col if isinstance(col, tuple) else (col, None) for col in columns]
+    for start in range(0, len(columns[0][0]), _BLOCK):
+        cells = []
+        for values, shown in columns:
+            col = list(map(repr, values[start : start + _BLOCK].tolist()))
+            if shown is not None:
+                for k in np.flatnonzero(~shown[start : start + _BLOCK]):
+                    col[k] = ""
+            cells.append(col)
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def split_dataset(dataset: RegressionDataset, train_rows: int) -> tuple[RegressionDataset, RegressionDataset]:

@@ -26,18 +26,15 @@ from .operators import (
     filter_rows,
     gram_matrix,
 )
-from .simulator import NoiseSpec
 from .spectral import GramSpectrum, SpectralFunctionals, eigendecompose, functionals, quadratic_forms
 
 __all__ = [
     "FlatSpectrumError",
     "StveConfig",
     "StveEstimate",
-    "MomentCheck",
     "truncation_size",
     "spectral_system",
     "estimate",
-    "moment_equation_check",
 ]
 
 # Below this excess over 1 the two moment identities are numerically identical
@@ -192,81 +189,4 @@ def estimate(dataset: RegressionDataset, config: StveConfig | None = None) -> St
         effective_T=effective,
         gap_lower_bound=float(gap_lower_bound),
         warnings=tuple(warnings),
-    )
-
-
-@dataclass(frozen=True)
-class MomentCheck:
-    """Monte-Carlo check of the two moment identities on a fixed design.
-
-    sample_* are means over replications of the full and truncated statistics;
-    analytic_* are their exact expectations under the given noise variances.
-    """
-
-    analytic_full: float
-    analytic_trunc: float
-    sample_full: float
-    sample_trunc: float
-    stderr_full: float
-    stderr_trunc: float
-    replications: int
-    p: int
-    effective_T: int
-
-    @property
-    def z_full(self) -> float:
-        return (self.sample_full - self.analytic_full) / self.stderr_full
-
-    @property
-    def z_trunc(self) -> float:
-        return (self.sample_trunc - self.analytic_trunc) / self.stderr_trunc
-
-
-def moment_equation_check(
-    dataset: RegressionDataset,
-    process_noise: NoiseSpec,
-    observation_noise: NoiseSpec,
-    replications: int,
-    alpha: float = 0.25,
-    min_row_norm: float = DEFAULT_MIN_ROW_NORM,
-    seed: int = 0,
-) -> MomentCheck:
-    """Simulate fresh responses on the dataset's design and compare the sample
-    means of the two statistics against their analytic expectations.
-
-    The design (observation vectors, row mask, time labels) is taken from the
-    dataset; only the noises are redrawn, so the spectrum is computed once.
-    """
-    if replications < 2:
-        raise ValueError("need at least 2 replications")
-    filtered, _dropped, spectrum = spectral_system(dataset, min_row_norm)
-    effective = filtered.horizon
-    p = truncation_size(effective, alpha)
-    funcs = functionals(spectrum, p)
-
-    max_time = int(filtered.time_index[-1])
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    steps = process_noise.sample(rng, (replications, max_time, filtered.dim))
-    noise = observation_noise.sample(rng, (replications, effective))
-    paths = np.cumsum(steps, axis=1)[:, filtered.time_index - 1, :]
-    responses = np.einsum("rti,ti->rt", paths, filtered.u) + noise
-
-    coords = responses @ spectrum.vectors  # (replications, effective)
-    weights = (coords * coords) / spectrum.eigenvalues
-    full = weights.sum(axis=1) / effective
-    trunc = weights[:, effective - p :].sum(axis=1) / p
-
-    root = math.sqrt(replications)
-    return MomentCheck(
-        analytic_full=process_noise.variance
-        + (funcs.pinv_hs_sq / effective) * observation_noise.variance,
-        analytic_trunc=process_noise.variance
-        + (funcs.trunc_hs_sq / p) * observation_noise.variance,
-        sample_full=float(full.mean()),
-        sample_trunc=float(trunc.mean()),
-        stderr_full=float(full.std(ddof=1) / root),
-        stderr_trunc=float(trunc.std(ddof=1) / root),
-        replications=int(replications),
-        p=int(p),
-        effective_T=effective,
     )

@@ -11,14 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_force_pinv_quantities, difference_spectrum, make_dataset
+from conftest import brute_force_pinv_quantities, difference_spectrum, make_dataset, moment_equation_check
 from test_cli import parse_table, run_cli
 from test_kalman import scalar_oracle
 
 from stve.baselines import online_gradient_run, stationary_regression, tune_learning_rate
 from stve.cli import _stve_point_estimator
 from stve.dataio import write_csv
-from stve.estimator import estimate, moment_equation_check
+from stve.estimator import estimate
 from stve.kalman import KalmanConfig, run_filter
 from stve.operators import (
     RegressionDataset,

@@ -129,7 +129,8 @@ def test_tuned_rate_beats_dense_grid(seed):
 
 
 def test_tuner_pass_count(monkeypatch):
-    # One scan of 101 rates plus one golden-section refine of about 25 passes.
+    # The 101-rate scan runs no online_gradient_run pass; the golden-section
+    # refine runs about 25, all inside the two scan cells beside the best rate.
     dataset, _ = simulate(SimulationConfig(T=40, n=2, sigma2=0.8, eta2=0.5, seed=5))
     rates = []
 
@@ -139,7 +140,28 @@ def test_tuner_pass_count(monkeypatch):
 
     monkeypatch.setattr(baselines, "online_gradient_run", recording_run)
     tune_learning_rate(dataset)
-    assert 101 < len(rates) < 150
+    assert 15 <= len(rates) <= 40
+    assert max(rates) - min(rates) <= 2 * 0.02
+
+
+@pytest.mark.parametrize("n, scale", [(1, 2.0), (5, 1.0)])
+def test_scan_matches_single_rate_runs(n, scale):
+    # One pass over all rates gives each rate's sse, inf where it diverges.
+    rng = np.random.default_rng(40 + n)
+    dataset = make_dataset(rng, T=200, n=n, missing=(1, 3, 50, 51, 200), u=scale * rng.normal(size=(200, n)))
+    rates = np.linspace(0.0, 2.0, 101)
+    scan = baselines._scan_sse(dataset, rates)
+    for rate, value in zip(rates, scan):
+        try:
+            expected = online_gradient_run(dataset, float(rate)).sse
+        except RuntimeError:
+            expected = np.inf
+        if np.isinf(expected):
+            assert np.isinf(value)
+        else:
+            assert value == pytest.approx(expected, rel=1e-12)
+    assert np.isfinite(scan).sum() >= 10
+    assert np.isinf(scan).sum() >= 10
 
 
 # ---------------------------------------------------------------------------

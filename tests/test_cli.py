@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, and table formats."""
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from stve import (
     simulate,
     write_csv,
 )
-from stve.cli import _moving_average, _stve_point_estimator, main
+from stve.cli import _moving_average, _parse_missing, _stve_point_estimator, main
 from stve.simulator import benchmark_table
 
 from conftest import make_dataset
@@ -164,6 +165,44 @@ def test_estimate_reads_stdin(tmp_path):
     assert code == 0
     expected = estimate(dataset)
     assert json.loads(out)["sigma2"] == pytest.approx(expected.sigma2, abs=1e-12)
+
+
+def test_stdin_and_input_path_give_one_input_digest(tmp_path):
+    dataset, _ = simulate(SimulationConfig(T=60, n=2, sigma2=1.0, eta2=1.0, seed=4, missing=(5, 6)))
+    path = Path(dataset_file(tmp_path, dataset))
+    from_path = read_manifest(run_cli(["spectrum", "--input", str(path)])[1])
+    from_stdin = read_manifest(run_cli(["spectrum", "--input", "-"], stdin_text=path.read_text())[1])
+    assert from_path["input_digest"] == from_stdin["input_digest"]
+    assert from_path["input_digest"] == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of each table of a small pipeline, as the code writes it today; a
+# change to parsing, arithmetic or formatting that moves any byte shows here.
+PIPELINE_DIGESTS = {
+    "simulate": "6fe116c7fe0f5c52d24467352f54fc000edc1a28b98d84ffb61740d80e9d683c",
+    "kalman": "2978a470b11edd314b2755e35c20610da58a092414dec3ae7a4f312b140f0719",
+    "og": "650449164a29dc2127ca31fd9425a234896392bb021ce4b1f56f2d68984ba8df",
+    "stationary": "88f72cc03be5b55019f2253e9b8773fdcbfe45166f507e075cb7ce44882fd9a1",
+    "spectrum": "43ee528805bbbc4e037a65dba16c108f1d6ed2a32632e5fccf0b6224213a73f6",
+}
+
+
+def test_pipeline_output_bytes_are_pinned():
+    code, data, _err = run_cli(
+        ["simulate", "--T", "120", "--n", "2", "--sigma2", "0.5", "--eta2", "1", "--seed", "11",
+         "--missing", "3,40:45"]
+    )
+    assert code == 0
+    outputs = {"simulate": data}
+    for baseline, extra in (("kalman", ["--sigma2", "0.5", "--eta2", "1"]), ("og", []), ("stationary", [])):
+        code, outputs[baseline], _err = run_cli(
+            ["filter", "--input", "-", "--baseline", baseline, *extra], stdin_text=data
+        )
+        assert code == 0
+    code, outputs["spectrum"], _err = run_cli(["spectrum", "--input", "-"], stdin_text=data)
+    assert code == 0
+    digests = {name: hashlib.sha256(text.encode("utf-8")).hexdigest() for name, text in outputs.items()}
+    assert digests == PIPELINE_DIGESTS
 
 
 def test_estimate_stdout_deterministic(tmp_path):
@@ -344,6 +383,21 @@ def test_simulate_huge_missing_range_exits_3_before_expanding():
     assert code == 3
     assert out == ""
     assert "[1, T]" in err
+
+
+@pytest.mark.parametrize(
+    "extra, message", [("", "missing indices must be distinct"), (",0", "missing indices must lie in [1, T]")]
+)
+def test_simulate_repeated_missing_range_stops_expanding(extra, message):
+    # 20 copies of a full range hold 2 million indices; more than T of them
+    # must repeat one, so expansion stops there and the error is unchanged.
+    spec = ",".join(["1:100000"] * 20) + extra
+    assert len(_parse_missing(spec, 100000)) <= 2 * 100000 + 1
+    code, out, err = run_cli(
+        ["simulate", "--T", "100000", "--n", "1", "--sigma2", "1", "--eta2", "1", "--missing", spec]
+    )
+    assert (code, out) == (3, "")
+    assert err == f"stve: invalid arguments: {message}\n"
 
 
 def test_simulate_constant_u(tmp_path):

@@ -88,6 +88,80 @@ def test_missing_u_is_never_imputed():
         read_text("t,y,u_1,u_2\n1,1.0,0.1,\n")
 
 
+HEADER = "t,y,u_1,u_2\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # Two errors: the earlier line is the one reported, whichever column
+        # holds it.
+        (HEADER + "1,1.0,0.1,0.2\n2,1.0,nan,0.2\n3,1.0,0.1,0.2\n2,1.0,0.1,0.2\n",
+         "line 3: u_1 value 'nan' is not finite"),
+        (HEADER + "1,1.0,0.1,0.2\n2,inf,0.1,0.2\n3,1.0,0.1\n", "line 3: y value 'inf' is not finite"),
+        (HEADER + "1,1.0,0.1,0.2\n2,oops,0.1,0.2\n3,1.0,0.1,0.2,9\n", "line 3: cannot parse y value 'oops'"),
+        # Quoted cells spanning lines: the number is the physical line.
+        (HEADER + '1,"1.5\n",0.1,0.2\n2,1.0,"0.1\n\n",0.2\n3,bad,0.1,0.2\n', "line 7: cannot parse y value 'bad'"),
+        ("# c\n" + HEADER + "1,1.0,0.1,0.2\n\n# mid\n2,x,0.1,0.2\n", "line 6: cannot parse y value 'x'"),
+        # Padded cells are reported stripped.
+        (HEADER + " 1 , 1.5 , 0.1 , 0.2 \n2,  abc  ,0.1,0.2\n", "line 3: cannot parse y value 'abc'"),
+        (HEADER + "1,1.0,0.1,0.2\n2,inf,0.1,0.2\n", "line 3: y value 'inf' is not finite"),
+        (HEADER + "1,1.0,0.1,0.2\n2,-nan,0.1,0.2\n", "line 3: y value '-nan' is not finite"),
+        (HEADER + "1,1.0,0.1,0.2\n2,1.0,0.1,-inf\n", "line 3: u_2 value '-inf' is not finite"),
+        (HEADER + "1,1.0,0.1,0.2\n2,1.0,NaN,0.2\n", "line 3: u_1 value 'NaN' is not finite"),
+        (HEADER + "1,1.0,0.1,0.2\n2,1.0, ,0.2\n", "line 3: missing u_1 cell"),
+        (HEADER + "1,1.0,0.1,0.2\n2.0,1.0,0.1,0.2\n", "line 3: cannot parse t value '2.0'"),
+        ("y,u_1\n1.0,0.1\n2.0,1e999\n", "line 3: u_1 value '1e999' is not finite"),
+        # Past the first block of rows, and t checked across the block edge.
+        (HEADER + "".join(f"{k},1.0,0.1,0.2\n" for k in range(1, 1500)) + "1500,1.0,0.1,x\n",
+         "line 1501: cannot parse u_2 value 'x'"),
+        (HEADER + "".join(f"{k},1.0,0.1,0.2\n" for k in range(1, 1025)) + "1024,1.0,0.1,0.2\n",
+         "line 1026: t values must be 1-based and strictly increasing"),
+    ],
+)
+def test_error_message_and_line(text, message):
+    with pytest.raises(CsvFormatError) as info:
+        read_text(text)
+    assert str(info.value) == message
+
+
+def test_padded_cells_and_nan_tokens_parse():
+    dataset = read_text(
+        "t , y , u_1 , u_2\n 1 , 1.5 ,  0.1 , 0.2 \n2,  NaN ,0.1,0.2\n3, nan ,0.1,0.2\n"
+        "4,   ,0.1,0.2\n5,2.0,0.3,0.4\n"
+    )
+    assert dataset.observed.tolist() == [True, False, False, False, True]
+    np.testing.assert_array_equal(dataset.y[[0, 4]], [1.5, 2.0])
+    np.testing.assert_array_equal(dataset.u[[0, 4]], [[0.1, 0.2], [0.3, 0.4]])
+    assert dataset.time_index.tolist() == [1, 2, 3, 4, 5]
+
+
+def test_bad_row_reported_before_a_later_undecodable_byte(tmp_path):
+    text = "t,y,u_1\n1,1.0,0.1\n2,bad,0.2\n" + "".join(f"{k},1.0,0.123456789\n" for k in range(3, 900))
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode() + b"900,1.0,\xff\n")
+    with pytest.raises(CsvFormatError, match="line 3: cannot parse y value 'bad'"):
+        read_csv(str(path))
+
+
+def test_t_beyond_int64_overflows_after_parsing():
+    with pytest.raises(OverflowError):
+        read_text(HEADER + "1,1.0,0.1,0.2\n99999999999999999999,1.0,0.1,0.2\n")
+
+
+def test_long_input_matches_round_trip(rng):
+    # Several blocks, missing rows in each.
+    dataset = make_dataset(rng, T=2500, n=3, missing=(1, 1024, 1025, 2048, 2500))
+    buffer = io.StringIO()
+    write_csv(dataset, buffer)
+    back = read_csv(io.StringIO(buffer.getvalue()))
+    assert np.array_equal(back.u, dataset.u)
+    assert back.u.flags.c_contiguous
+    assert np.array_equal(back.observed, dataset.observed)
+    assert np.array_equal(back.time_index, dataset.time_index)
+    np.testing.assert_array_equal(back.y[back.observed], dataset.y[dataset.observed])
+
+
 # ---------------------------------------------------------------------------
 # write_csv round trip
 

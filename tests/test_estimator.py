@@ -16,7 +16,6 @@ from stve import (
     functionals,
     gram_matrix,
     mle_fit,
-    moment_equation_check,
     quadratic_forms,
     replicate,
     simulate,
@@ -24,7 +23,7 @@ from stve import (
 )
 from stve.estimator import spectral_system
 
-from conftest import make_dataset
+from conftest import make_dataset, moment_equation_check
 
 
 def flat_instance():
