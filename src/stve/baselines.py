@@ -1,14 +1,16 @@
 """Prediction baselines: online gradient descent, stationary least squares,
 and the exact Gaussian maximum-likelihood fit of the two noise variances.
 
-Both searches here are one fixed policy, `_scan_then_golden`: an equispaced
-scan, then a golden-section refine on the two cells beside the scan's best
-point.  `tune_learning_rate` scans the online-gradient sse at all 101 rates
-in [0, 2] in one pass over the rows, then refines with about 25 single-rate
-`online_gradient_run` passes.  `mle_fit` reads the Gram spectrum from
-`stve.estimator.spectral_system`, so after `estimate` on the same dataset it
-costs no second eigendecomposition: eta2 is profiled out in closed form and
-the search runs over log(sigma2 / eta2), O(T') per evaluation."""
+Both searches here are one fixed policy, `_scan_and_zoom`: an equispaced
+scan, then rescans of the two cells beside the best point at 21 points each,
+which narrow the bracket 10x per pass, until it is within tolerance.  Every
+scan is one batched call.  `tune_learning_rate` gets the online-gradient sse
+of all a scan's rates in one pass over the rows, so tuning runs no
+single-rate `online_gradient_run` pass.  `mle_fit` reads the Gram spectrum
+from `stve.estimator.spectral_system`, so after `estimate` on the same
+dataset it costs no second eigendecomposition: eta2 is profiled out in
+closed form and the search runs over log(sigma2 / eta2), O(T') per
+evaluation."""
 from __future__ import annotations
 
 import math
@@ -71,39 +73,6 @@ def online_gradient_run(dataset: RegressionDataset, rate: float) -> OnlineGradie
     return OnlineGradientRun(states=states, predictions=predictions, sse=float(sse))
 
 
-def _golden_section(func, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    # Returns the best evaluated point; interval collapses to width tol.
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = func(c), func(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = func(c)
-            if fc < best_f:
-                best_x, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = func(d)
-            if fd < best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
-
-
-def _scan_then_golden(func, grid: np.ndarray, grid_vals: np.ndarray, tol: float) -> tuple[float, float]:
-    # The grid's best point, or a better one from golden section on the two
-    # cells beside it.
-    k = int(np.argmin(grid_vals))
-    best_x, best_f = float(grid[k]), float(grid_vals[k])
-    x, v = _golden_section(func, grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)], tol)
-    return (x, v) if v < best_f else (best_x, best_f)
-
-
 # The learning-rate search scans [0, _RATE_MAX] and refines to width _RATE_TOL.
 _RATE_MAX = 2.0
 _RATE_SCAN_POINTS = 101
@@ -115,6 +84,29 @@ _RATE_TOL = 1e-6
 _BRACKET_MARGIN = 20.0
 _SCAN_POINTS = 61
 _MLE_TOL = 1e-8
+# Each zoom pass rescans the two cells beside the best point at this many
+# points, so the bracket narrows 10x per pass.
+_ZOOM_POINTS = 21
+
+
+def _scan_and_zoom(values, grid: np.ndarray, tol: float) -> tuple[float, float, int]:
+    # Minimise over the grid, then rescan the two cells beside the best point
+    # until they span at most tol.  values maps a 1-D array of points to their
+    # values in one batched call.  Returns the best evaluated point, its value
+    # and the number of points evaluated.
+    points, vals = grid, values(grid)
+    k = int(np.argmin(vals))
+    best_x, best_f, evaluations = points[k], vals[k], len(grid)
+    while True:
+        lo, hi = points[max(0, k - 1)], points[min(len(points) - 1, k + 1)]
+        if hi - lo <= tol:
+            return float(best_x), float(best_f), evaluations
+        points = np.linspace(lo, hi, _ZOOM_POINTS)
+        vals = values(points)
+        evaluations += _ZOOM_POINTS
+        k = int(np.argmin(vals))
+        if vals[k] < best_f:
+            best_x, best_f = points[k], vals[k]
 
 
 def _scan_sse(dataset: RegressionDataset, rates: np.ndarray) -> np.ndarray:
@@ -143,21 +135,13 @@ def _scan_sse(dataset: RegressionDataset, rates: np.ndarray) -> np.ndarray:
 def tune_learning_rate(dataset: RegressionDataset) -> float:
     """Minimize the online-gradient sse over the learning rate in [0, 2].
 
-    A scan of 101 equispaced rates, all in one pass over the rows, seeds a
-    golden-section search on the two cells beside the scan's best rate,
-    refined to width 1e-6 with about 25 `online_gradient_run` passes; a
-    diverging rate counts as infinite sse.
+    A scan of 101 equispaced rates, then 21-rate rescans of the two cells
+    beside the best rate until they span at most 1e-6 (at most five); each
+    scan is one pass over the rows for all its rates.  A diverging rate
+    counts as infinite sse.
     """
-
-    def sse(rate: float) -> float:
-        try:
-            return online_gradient_run(dataset, rate).sse
-        except RuntimeError:
-            return math.inf
-
     grid = np.linspace(0.0, _RATE_MAX, _RATE_SCAN_POINTS)  # includes both ends
-    best_x, _ = _scan_then_golden(sse, grid, _scan_sse(dataset, grid), _RATE_TOL)
-    return float(best_x)
+    return _scan_and_zoom(lambda rates: _scan_sse(dataset, rates), grid, _RATE_TOL)[0]
 
 
 def stationary_regression(dataset: RegressionDataset) -> np.ndarray:
@@ -177,10 +161,10 @@ def stationary_regression(dataset: RegressionDataset) -> np.ndarray:
 class MleResult:
     """Maximum-likelihood fit of the two noise variances.
 
-    iterations counts likelihood evaluations (coarse scan plus golden
-    section).  converged is False when the optimum lies in the first or last
-    cell of the scan over the log(sigma2/eta2) bracket, where one variance is
-    negligible against the other; that is a flag, not an error.
+    iterations counts likelihood evaluations: 61 for the coarse scan plus 21
+    per zoom pass.  converged is False when the optimum lies in the first or
+    last cell of the scan over the log(sigma2/eta2) bracket, where one
+    variance is negligible against the other; that is a flag, not an error.
     """
 
     sigma2: float
@@ -201,10 +185,10 @@ def mle_fit(dataset: RegressionDataset) -> MleResult:
 
         (T' log(2 pi eta2(q)) + sum log(q lambda + 1) + T') / 2
 
-    costs O(T') per evaluation.  A coarse scan over log q seeds a
-    golden-section search refined to width 1e-8.  If every response is
-    zero the likelihood is unbounded: both variances are returned as 0 with
-    loglik inf and converged False.
+    costs O(T') per evaluation.  A 61-point scan over log q is followed by
+    21-point rescans of the two cells beside the best point until they span
+    at most 1e-8.  If every response is zero the likelihood is unbounded:
+    both variances are returned as 0 with loglik inf and converged False.
     """
     filtered, _dropped, spectrum = spectral_system(dataset)
     coef = spectrum.vectors.T @ filtered.y
@@ -222,17 +206,10 @@ def mle_fit(dataset: RegressionDataset) -> MleResult:
         nll = 0.5 * (order * np.log(2.0 * math.pi * eta2) + np.log(weights).sum(axis=-1) + order)
         return nll, eta2
 
-    evaluations = _SCAN_POINTS
-
-    def neg_loglik(log_q: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return float(profile(log_q)[0])
-
     lo = -math.log(lam[0]) - _BRACKET_MARGIN
     hi = -math.log(lam[-1]) + _BRACKET_MARGIN
     grid = np.linspace(lo, hi, _SCAN_POINTS)
-    best_x, best_f = _scan_then_golden(neg_loglik, grid, profile(grid)[0], _MLE_TOL)
+    best_x, best_f, evaluations = _scan_and_zoom(lambda log_q: profile(log_q)[0], grid, _MLE_TOL)
     eta2 = float(profile(best_x)[1])
     return MleResult(
         sigma2=float(math.exp(best_x) * eta2),

@@ -349,7 +349,7 @@ def _cmd_benchmark(args) -> int:
     started = time.perf_counter()
     resolved = _resolve_benchmark_config(args)
     try:
-        alpha = StveConfig(alpha=float(resolved["alpha"])).alpha
+        stve_config = StveConfig(alpha=float(resolved["alpha"]))
         # Grid cells differ only in T, so the shortest one checks them all.
         cell = SimulationConfig(
             T=min(resolved["t_grid"]),
@@ -363,7 +363,11 @@ def _cmd_benchmark(args) -> int:
         raise _UsageError(str(exc)) from None
     estimator_fns = {}
     if "stve" in resolved["estimators"]:
-        estimator_fns["stve"] = partial(_stve_point_estimator, alpha=alpha)
+        if cell.T < stve_config.min_rows:
+            raise _UsageError(
+                f"stve needs every T in the grid to be at least max(4, ceil(1/alpha)) = {stve_config.min_rows}"
+            )
+        estimator_fns["stve"] = partial(_stve_point_estimator, alpha=stve_config.alpha)
     if "mle" in resolved["estimators"]:
         estimator_fns["mle"] = _mle_point_estimator
     rows, slopes = benchmark_table(

@@ -50,10 +50,11 @@ class FlatSpectrumError(RuntimeError):
 class StveConfig:
     """Estimator knobs.
 
-    alpha sets the truncation size p = ceil(alpha * T').  min_row_norm is the
-    row-filter threshold; rows at or below it are dropped before anything is
-    computed.  gap_warn_threshold triggers a stability warning when the gap
-    ratio falls below 1 + threshold.
+    alpha sets the truncation size p = ceil(alpha * T') and min_rows, the
+    fewest filtered rows `estimate` accepts, max(4, ceil(1/alpha)).
+    min_row_norm is the row-filter threshold; rows at or below it are dropped
+    before anything is computed.  gap_warn_threshold triggers a stability
+    warning when the gap ratio falls below 1 + threshold.
     """
 
     alpha: float = 0.25
@@ -67,6 +68,10 @@ class StveConfig:
             raise ValueError("min_row_norm must be finite and non-negative")
         if not (np.isfinite(self.gap_warn_threshold) and self.gap_warn_threshold >= 0.0):
             raise ValueError("gap_warn_threshold must be finite and non-negative")
+
+    @property
+    def min_rows(self) -> int:
+        return max(4, math.ceil(1.0 / self.alpha))
 
 
 @dataclass(frozen=True)
@@ -138,8 +143,7 @@ def estimate(dataset: RegressionDataset, config: StveConfig | None = None) -> St
     (flat spectrum, the system is singular and estimation is impossible).
     """
     config = config if config is not None else StveConfig()
-    required = max(4, math.ceil(1.0 / config.alpha))
-    filtered, _dropped, spectrum = spectral_system(dataset, config.min_row_norm, required)
+    filtered, _dropped, spectrum = spectral_system(dataset, config.min_row_norm, config.min_rows)
     effective = filtered.horizon
     p = truncation_size(effective, config.alpha)
     funcs = functionals(spectrum, p)

@@ -18,6 +18,7 @@ from stve import (
     stationary_regression,
     tune_learning_rate,
 )
+from stve.estimator import spectral_system
 
 from conftest import dense_system_matrix, make_dataset
 
@@ -129,19 +130,29 @@ def test_tuned_rate_beats_dense_grid(seed):
 
 
 def test_tuner_pass_count(monkeypatch):
-    # The 101-rate scan runs no online_gradient_run pass; the golden-section
-    # refine runs about 25, all inside the two scan cells beside the best rate.
+    # Tuning runs no online_gradient_run pass.  The batched scan sees the
+    # 101-rate grid first, then 21-rate grids, each inside the two cells
+    # beside the previous grid's best rate.
     dataset, _ = simulate(SimulationConfig(T=40, n=2, sigma2=0.8, eta2=0.5, seed=5))
-    rates = []
+    runs, scans = [], []
+    scan_sse = baselines._scan_sse
 
-    def recording_run(data, rate):
-        rates.append(rate)
-        return online_gradient_run(data, rate)
+    def recording_scan(data, rates):
+        scans.append((np.array(rates), scan_sse(data, rates)))
+        return scans[-1][1]
 
-    monkeypatch.setattr(baselines, "online_gradient_run", recording_run)
+    monkeypatch.setattr(
+        baselines, "online_gradient_run", lambda data, rate: runs.append(rate) or online_gradient_run(data, rate)
+    )
+    monkeypatch.setattr(baselines, "_scan_sse", recording_scan)
     tune_learning_rate(dataset)
-    assert 15 <= len(rates) <= 40
-    assert max(rates) - min(rates) <= 2 * 0.02
+    assert runs == []
+    np.testing.assert_array_equal(scans[0][0], np.linspace(0.0, 2.0, 101))
+    assert 2 <= len(scans) <= 7
+    for (previous, sse), (rates, _sse) in zip(scans, scans[1:]):
+        k = int(np.argmin(sse))
+        assert rates.shape == (21,)
+        assert previous[max(0, k - 1)] <= rates[0] < rates[-1] <= previous[min(len(previous) - 1, k + 1)]
 
 
 @pytest.mark.parametrize("n, scale", [(1, 2.0), (5, 1.0)])
@@ -362,6 +373,27 @@ def test_boundary_optimum_reports_unconverged():
     np.testing.assert_allclose(fit.loglik, density(fit.sigma2, fit.eta2), rtol=1e-10)
     assert fit.loglik >= density(0.0, fit.eta2) - 1e-9
     assert fit.loglik > density(1e-4, fit.eta2)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SimulationConfig(T=150, n=3, sigma2=0.5, eta2=2.0, seed=3),
+        SimulationConfig(T=30, n=1, sigma2=0.01, eta2=5.0, seed=4),  # optimum at the bracket's end
+    ],
+)
+def test_mle_evaluation_count(config):
+    # A 61-point scan, then k 21-point rescans.  Each rescan narrows the
+    # bracket 10x, or 20x when its best point is at an end, from one or two
+    # scan cells down to 1e-8.
+    dataset, _ = simulate(config)
+    fit = mle_fit(dataset)
+    passes, rest = divmod(fit.iterations - 61, 21)
+    assert rest == 0
+    assert 1 <= passes <= 10
+    lam = spectral_system(dataset)[2].eigenvalues
+    cell = (abs(np.log(lam[0] / lam[-1])) + 40.0) / 60
+    assert np.ceil(np.log(cell / 1e-8) / np.log(20.0)) <= passes <= np.ceil(np.log10(2 * cell / 1e-8))
 
 
 def test_all_zero_responses_have_no_interior_optimum(rng):

@@ -181,7 +181,7 @@ def test_stdin_and_input_path_give_one_input_digest(tmp_path):
 PIPELINE_DIGESTS = {
     "simulate": "6fe116c7fe0f5c52d24467352f54fc000edc1a28b98d84ffb61740d80e9d683c",
     "kalman": "2978a470b11edd314b2755e35c20610da58a092414dec3ae7a4f312b140f0719",
-    "og": "650449164a29dc2127ca31fd9425a234896392bb021ce4b1f56f2d68984ba8df",
+    "og": "e59877a0a2327c2ee5fd51cf0b64ebec33b0e3cee2107f72244c952ab5690200",
     "stationary": "88f72cc03be5b55019f2253e9b8773fdcbfe45166f507e075cb7ce44882fd9a1",
     "spectrum": "43ee528805bbbc4e037a65dba16c108f1d6ed2a32632e5fccf0b6224213a73f6",
 }
@@ -525,6 +525,9 @@ def test_benchmark_unknown_config_key_exits_3(tmp_path):
         ["benchmark", "--config", {"t_grid": [10, 14, 20], "reps": 2, "seed": 1.5}],
         ["benchmark", "--config", {"t_grid": [10, 14, 20], "reps": 2, "seed": True}],
         ["benchmark", "--config", {"t_grid": [10, 14, 20], "reps": 2, "n": True}],
+        # stve needs max(4, ceil(1/alpha)) rows at the shortest horizon.
+        ["benchmark", "--alpha", "0.01", "--T-grid", "50,60,70", "--reps", "2", "--estimators", "stve"],
+        ["benchmark", "--T-grid", "3,4,5", "--reps", "2"],
     ],
 )
 def test_benchmark_validation_exits_3(argv, tmp_path):
