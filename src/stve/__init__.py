@@ -26,7 +26,6 @@ from .baselines import (
 from .dataio import (
     CsvFormatError,
     read_csv,
-    split_dataset,
     write_csv,
 )
 from .estimator import (
@@ -90,7 +89,6 @@ __all__ = [
     "run_filter",
     "select_rows",
     "simulate",
-    "split_dataset",
     "stationary_regression",
     "truncation_size",
     "tune_learning_rate",

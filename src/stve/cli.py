@@ -24,11 +24,12 @@ import numpy as np
 
 from . import __version__
 from .baselines import mle_fit, online_gradient_run, stationary_regression, tune_learning_rate
-from .dataio import CsvFormatError, read_csv, split_dataset, write_columns, write_csv
+from .dataio import CsvFormatError, read_csv, write_columns, write_csv
 from .estimator import StveConfig, estimate, spectral_system
 from .kalman import KalmanConfig, run_filter
 # Not called here: perfbench's tracer wraps stve.cli.filter_rows, gram_matrix, eigendecompose.
 from .operators import filter_rows, gram_matrix  # noqa: F401
+from .operators import select_rows
 from .simulator import NOISE_FAMILIES, SimulationConfig, benchmark_table, simulate as run_simulation
 from .spectral import eigendecompose  # noqa: F401
 
@@ -121,19 +122,13 @@ def _table_file(path: str | None, comments: list[str]):
         yield fh
 
 
-def _write_table(path: str | None, comments: list[str], header: list[str], rows: list[list]) -> None:
+def _write_table(path: str | None, comments: list[str], rows: list[dict]) -> None:
+    """Write dict rows under a header of their keys.  csv writes a float as
+    its repr and None as an empty cell; a bool is written lowercase."""
     with _table_file(path, comments) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        writer.writerow(rows[0])
+        writer.writerows([str(v).lower() if isinstance(v, bool) else v for v in row.values()] for row in rows)
 
 
 def _log_duration(subcommand: str, started: float) -> None:
@@ -181,9 +176,8 @@ def _cmd_estimate(args) -> int:
         payload["manifest"] = manifest
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        keys = [k for k in payload if k != "warnings"]
-        row = [_cell(payload[k]) for k in keys] + ["; ".join(result.warnings)]
-        _write_table(None, [_comment("manifest", manifest)], keys + ["warnings"], [row])
+        row = {**payload, "warnings": "; ".join(result.warnings)}
+        _write_table(None, [_comment("manifest", manifest)], [row])
     _log_duration("estimate", started)
     return 0
 
@@ -279,8 +273,8 @@ def _cmd_simulate(args) -> int:
             "missing": list(missing),
         },
     )
-    destination = sys.stdout if args.output in (None, "-") else args.output
-    write_csv(dataset, destination, comment=_comment("manifest", manifest))
+    with _table_file(args.output, [_comment("manifest", manifest)]) as fh:
+        write_csv(dataset, fh)
     _log_duration("simulate", started)
     return 0
 
@@ -350,7 +344,7 @@ def _cmd_benchmark(args) -> int:
     resolved = _resolve_benchmark_config(args)
     try:
         stve_config = StveConfig(alpha=float(resolved["alpha"]))
-        # Grid cells differ only in T, so the shortest one checks them all.
+        # The table runs this cell at every T of the grid; the shortest T checks them all.
         cell = SimulationConfig(
             T=min(resolved["t_grid"]),
             n=resolved["n"],
@@ -370,48 +364,8 @@ def _cmd_benchmark(args) -> int:
         estimator_fns["stve"] = partial(_stve_point_estimator, alpha=stve_config.alpha)
     if "mle" in resolved["estimators"]:
         estimator_fns["mle"] = _mle_point_estimator
-    rows, slopes = benchmark_table(
-        resolved["t_grid"],
-        resolved["reps"],
-        estimator_fns,
-        sigma2=cell.sigma2,
-        eta2=cell.eta2,
-        n=cell.n,
-        noise_family=cell.noise_family,
-        seed=resolved["seed"],
-    )
-    manifest = _manifest("benchmark", resolved)
-    header = [
-        "T",
-        "estimator",
-        "mean_abs_err_sigma2",
-        "stderr_sigma2",
-        "mean_abs_err_eta2",
-        "stderr_eta2",
-        "replications",
-        "slope_sigma2",
-        "slope_eta2",
-        "slope_defined",
-    ]
-    table = []
-    for row in rows:
-        slope_info = slopes[row["estimator"]]
-        defined = slope_info["sigma2"]["defined"] and slope_info["eta2"]["defined"]
-        table.append(
-            [
-                row["T"],
-                row["estimator"],
-                _cell(row["mean_abs_err_sigma2"]),
-                _cell(row["stderr_sigma2"]),
-                _cell(row["mean_abs_err_eta2"]),
-                _cell(row["stderr_eta2"]),
-                row["replications"],
-                _cell(slope_info["sigma2"]["slope"]),
-                _cell(slope_info["eta2"]["slope"]),
-                str(defined).lower(),
-            ]
-        )
-    _write_table(args.out, [_comment("manifest", manifest)], header, table)
+    rows = benchmark_table(cell, resolved["t_grid"], resolved["reps"], estimator_fns)
+    _write_table(args.out, [_comment("manifest", _manifest("benchmark", resolved))], rows)
     _log_duration("benchmark", started)
     return 0
 
@@ -453,7 +407,7 @@ def _cmd_filter(args) -> int:
     cut = int(math.floor(args.train_fraction * dataset.horizon))
     if not (0 < cut < dataset.horizon):
         raise _UsageError("--train-fraction leaves an empty split")
-    train, _test = split_dataset(dataset, cut)
+    train = select_rows(dataset, np.arange(cut))
 
     resolved: dict = {
         "input": args.input,

@@ -1,4 +1,4 @@
-"""CSV input/output and the train/test split.
+"""CSV input/output.
 
 CSV schema: header row, comma-delimited, UTF-8.  Columns are an optional
 integer index column "t" (strictly increasing, 1-based), the response column
@@ -24,14 +24,13 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .operators import RegressionDataset, select_rows
+from .operators import RegressionDataset
 
 __all__ = [
     "CsvFormatError",
     "read_csv",
     "write_csv",
     "write_columns",
-    "split_dataset",
 ]
 
 
@@ -198,23 +197,17 @@ def _parse_rows(records: list[list[str]], lines: list[int], has_t: bool, dim: in
     return times, ys, mask, rows
 
 
-def write_csv(dataset: RegressionDataset, destination: str | IO[str], comment: str | None = None) -> None:
-    """Write a dataset CSV (full float precision, empty y cell at missing rows)."""
+def write_csv(dataset: RegressionDataset, destination: str | IO[str]) -> None:
+    """Write a dataset CSV (full float precision, empty y cell at missing rows)
+    to a path or an open text stream; a caller writes any '#' comment lines
+    to the stream first."""
+    header = ["t", "y"] + [f"u_{j}" for j in range(1, dataset.dim + 1)]
+    columns = [dataset.time_index, (dataset.y, dataset.observed), *dataset.u.T]
     if isinstance(destination, str):
         with open(destination, "w", newline="", encoding="utf-8") as fh:
-            _write_csv(dataset, fh, comment)
+            write_columns(fh, header, columns)
     else:
-        _write_csv(dataset, destination, comment)
-
-
-def _write_csv(dataset: RegressionDataset, fh: IO[str], comment: str | None) -> None:
-    if comment is not None:
-        fh.write("# " + comment.rstrip("\n") + "\n")
-    write_columns(
-        fh,
-        ["t", "y"] + [f"u_{j}" for j in range(1, dataset.dim + 1)],
-        [dataset.time_index, (dataset.y, dataset.observed), *dataset.u.T],
-    )
+        write_columns(destination, header, columns)
 
 
 def write_columns(fh: IO[str], header: Sequence[str], columns: Sequence) -> None:
@@ -236,13 +229,3 @@ def write_columns(fh: IO[str], header: Sequence[str], columns: Sequence) -> None
                     col[k] = ""
             cells.append(col)
         fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-
-
-def split_dataset(dataset: RegressionDataset, train_rows: int) -> tuple[RegressionDataset, RegressionDataset]:
-    """Split into the first train_rows rows and the rest, time labels kept."""
-    total = dataset.horizon
-    if not (0 < train_rows < total):
-        raise ValueError("train_rows must leave both splits non-empty")
-    train = select_rows(dataset, np.arange(train_rows))
-    test = select_rows(dataset, np.arange(train_rows, total))
-    return train, test

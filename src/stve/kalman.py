@@ -3,15 +3,17 @@
 The recursion keeps the covariance isotropic, C_t = c_t I, and carries only
 the scale c_t.  Per observed step, with prior state x and scale c:
 
-    prior  = c + sigma^2
+    prior  = c + sigma^2 (t_k - t_{k-1})    (t_k the row's time label, t_0 = 0)
     s      = prior ||u||^2 + eta^2          (innovation variance)
     c_next = (eta^2 / s) prior
     x_next = x + (prior / s) u (y - <x, u>)
 
-This is the exact Kalman update only for n = 1; for n > 1 the exact
-posterior covariance is not a multiple of I.  Missing steps propagate only:
-the scale grows by sigma^2 and the state is unchanged.  The log-likelihood
-accumulates Gaussian innovation terms over the observed steps.
+A gap of k time labels is k walk steps, as in the Gram matrix and the
+likelihood, so the prior grows by sigma^2 per label; with contiguous labels
+that is sigma^2 per row.  This is the exact Kalman update only for n = 1; for
+n > 1 the exact posterior covariance is not a multiple of I.  Missing steps
+propagate only: the scale becomes the prior and the state is unchanged.  The
+log-likelihood accumulates Gaussian innovation terms over the observed steps.
 
 The filter stays isotropic on purpose: it is the online-prediction baseline,
 one O(n) update per step.  It is not the model's likelihood for n > 1;
@@ -88,7 +90,9 @@ def run_filter(dataset: RegressionDataset, config: KalmanConfig) -> KalmanTrajec
             raise ValueError("x0 length does not match the dataset dimension")
         state = np.array(config.x0)
     scale = config.c0_scale
-    sigma2, eta2 = config.sigma2, config.eta2
+    eta2 = config.eta2
+    # Walk variance added before each row, as Python floats for the loop.
+    drift = (config.sigma2 * np.diff(dataset.time_index, prepend=0)).tolist()
 
     states = np.empty((horizon, dim))
     scales = np.empty(horizon)
@@ -98,7 +102,7 @@ def run_filter(dataset: RegressionDataset, config: KalmanConfig) -> KalmanTrajec
 
     for t in range(horizon):
         u = dataset.u[t]
-        prior = scale + sigma2
+        prior = scale + drift[t]
         predictions[t] = state @ u
         if dataset.observed[t]:
             weighted = prior * u

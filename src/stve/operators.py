@@ -96,11 +96,6 @@ class RegressionDataset:
         """Coordinates per observation vector."""
         return self.u.shape[1]
 
-    @property
-    def effective_horizon(self) -> int:
-        """Number of observed rows."""
-        return int(self.observed.sum())
-
     def row_norms(self) -> np.ndarray:
         return np.linalg.norm(self.u, axis=1)
 

@@ -12,7 +12,7 @@ returned separately and never crosses that interface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -212,55 +212,58 @@ def replicate(
 
 
 def benchmark_table(
+    cell: SimulationConfig,
     t_grid,
     replications: int,
     estimators: dict[str, Estimator],
-    sigma2: float,
-    eta2: float,
-    n: int,
-    noise_family: str = "gaussian",
-    seed: int = 0,
-):
-    """Error table over a horizon grid: one row dict per (T, estimator).
+) -> list[dict]:
+    """The error-decay table over a horizon grid: one row per (T, estimator),
+    keyed by the table's column names.
 
-    Each grid cell derives its own child seed from the base seed and runs
-    one replicate over all estimators, so every estimator sees the same
-    simulated datasets and comparisons are paired.  Returns (rows, slopes)
-    where slopes maps estimator name to a dict with the log-log decay slope
-    per variance and a defined flag (False when the grid has fewer than 2
-    distinct horizons, or when a mean error is zero or not finite, e.g. under
-    a truth-returning estimator).
+    Each horizon runs one replicate of `cell` with T set to that horizon and
+    its own child seed spawned from cell.seed, so every estimator sees the
+    same simulated datasets and comparisons are paired.  Every row carries
+    its estimator's log-log decay slope of the mean absolute error per
+    variance.  A slope is NaN when it is undefined: the grid has fewer than 2
+    distinct horizons, or a mean error is zero or not finite (e.g. under a
+    truth-returning estimator).  slope_defined is True only when both slopes
+    are defined.
     """
     grid = [int(t) for t in t_grid]
-    children = np.random.SeedSequence(seed).spawn(len(grid))
-    rows = []
+    children = np.random.SeedSequence(cell.seed).spawn(len(grid))
+    results = []
     for horizon, child in zip(grid, children):
-        cell_seed = int(child.generate_state(1, np.uint64)[0])
-        config = SimulationConfig(
-            T=horizon, n=n, sigma2=sigma2, eta2=eta2, noise_family=noise_family, seed=cell_seed
-        )
-        for name, result in replicate(config, replications, estimators).items():
-            rows.append(
-                {
-                    "T": horizon,
-                    "estimator": name,
-                    "mean_abs_err_sigma2": result.mean_abs_error_sigma2,
-                    "stderr_sigma2": result.stderr_sigma2,
-                    "mean_abs_err_eta2": result.mean_abs_error_eta2,
-                    "stderr_eta2": result.stderr_eta2,
-                    "replications": replications,
-                }
-            )
-    slopes: dict[str, dict] = {}
+        config = replace(cell, T=horizon, seed=int(child.generate_state(1, np.uint64)[0]))
+        results.append(replicate(config, replications, estimators))
     distinct = len(set(grid)) >= 2
     log_t = np.log(np.array(grid, dtype=np.float64))
-    for name in estimators:
-        slopes[name] = {}
-        for param in ("sigma2", "eta2"):
-            values = np.array([row[f"mean_abs_err_{param}"] for row in rows if row["estimator"] == name])
-            if distinct and np.all(values > 0.0) and np.all(np.isfinite(values)):
-                slope = float(np.polyfit(log_t, np.log(values), 1)[0])
-                slopes[name][param] = {"slope": slope, "defined": True}
-            else:
-                slopes[name][param] = {"slope": math.nan, "defined": False}
-    return rows, slopes
+
+    def slope(errors: list[float]) -> float:
+        values = np.array(errors)
+        if distinct and np.all(values > 0.0) and np.all(np.isfinite(values)):
+            return float(np.polyfit(log_t, np.log(values), 1)[0])
+        return math.nan
+
+    slopes = {
+        name: (
+            slope([by_name[name].mean_abs_error_sigma2 for by_name in results]),
+            slope([by_name[name].mean_abs_error_eta2 for by_name in results]),
+        )
+        for name in estimators
+    }
+    return [
+        {
+            "T": horizon,
+            "estimator": name,
+            "mean_abs_err_sigma2": result.mean_abs_error_sigma2,
+            "stderr_sigma2": result.stderr_sigma2,
+            "mean_abs_err_eta2": result.mean_abs_error_eta2,
+            "stderr_eta2": result.stderr_eta2,
+            "replications": replications,
+            "slope_sigma2": slopes[name][0],
+            "slope_eta2": slopes[name][1],
+            "slope_defined": not (math.isnan(slopes[name][0]) or math.isnan(slopes[name][1])),
+        }
+        for horizon, by_name in zip(grid, results)
+        for name, result in by_name.items()
+    ]

@@ -137,32 +137,27 @@ def test_criterion_3_moment_identity():
 
 def test_criterion_4_error_decay_rates():
     started = time.perf_counter()
-    rows, slopes = benchmark_table(
+    rows = benchmark_table(
+        SimulationConfig(T=125, n=5, sigma2=0.5, eta2=2.0, noise_family="gaussian", seed=0),
         [125, 250, 500, 1000],
         150,
         {"stve": _stve_point_estimator},
-        sigma2=0.5,
-        eta2=2.0,
-        n=5,
-        noise_family="gaussian",
-        seed=0,
     )
     ordered = sorted(rows, key=lambda row: row["T"])
     sig = [row["mean_abs_err_sigma2"] for row in ordered]
     eta = [row["mean_abs_err_eta2"] for row in ordered]
     assert all(a > b for a, b in zip(sig, sig[1:])), f"sigma2 errors not decreasing: {sig}"
     assert all(a > b for a, b in zip(eta, eta[1:])), f"eta2 errors not decreasing: {eta}"
-    for param in ("sigma2", "eta2"):
-        cell = slopes["stve"][param]
-        assert cell["defined"]
-        assert -0.9 <= cell["slope"] <= -0.2, f"{param} slope {cell['slope']}"
+    assert all(row["slope_defined"] for row in rows)
+    slopes = {param: rows[0][f"slope_{param}"] for param in ("sigma2", "eta2")}
+    for param, slope in slopes.items():
+        assert -0.9 <= slope <= -0.2, f"{param} slope {slope}"
 
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0
     print(
         "criterion 4 (error decay over T-grid): PASS in "
-        f"{elapsed:.1f}s, slopes sigma2={slopes['stve']['sigma2']['slope']:.2f} "
-        f"eta2={slopes['stve']['eta2']['slope']:.2f}"
+        f"{elapsed:.1f}s, slopes sigma2={slopes['sigma2']:.2f} eta2={slopes['eta2']:.2f}"
     )
 
 

@@ -13,8 +13,8 @@ from stve import (
     mle_fit,
     online_gradient_run,
     run_filter,
+    select_rows,
     simulate,
-    split_dataset,
     stationary_regression,
     tune_learning_rate,
 )
@@ -232,7 +232,7 @@ def test_half_split_coefficients_differ_on_drifting_data():
     # On random-walk data a time-invariant regression is unstable: the two
     # half-sample fits differ by far more than their joint standard error.
     dataset, _ = simulate(SimulationConfig(T=400, n=3, sigma2=1.0, eta2=1.0, seed=13))
-    first, second = split_dataset(dataset, 400 // 2)
+    first, second = select_rows(dataset, np.arange(200)), select_rows(dataset, np.arange(200, 400))
 
     def fit_and_se(subset):
         design = subset.u[subset.observed]

@@ -449,16 +449,15 @@ def test_simulate_estimate_pipe_lossless(tmp_path):
 
 
 def test_benchmark_table_truth_stub():
-    rows, slopes = benchmark_table(
-        [10, 14, 20], 3, {"truth": lambda dataset: (0.4, 1.1)},
-        sigma2=0.4, eta2=1.1, n=1,
+    rows = benchmark_table(
+        SimulationConfig(T=10, n=1, sigma2=0.4, eta2=1.1), [10, 14, 20], 3,
+        {"truth": lambda dataset: (0.4, 1.1)},
     )
     assert len(rows) == 3
     assert all(row["mean_abs_err_sigma2"] == 0.0 for row in rows)
     assert all(row["mean_abs_err_eta2"] == 0.0 for row in rows)
-    assert not slopes["truth"]["sigma2"]["defined"]
-    assert not slopes["truth"]["eta2"]["defined"]
-    assert np.isnan(slopes["truth"]["sigma2"]["slope"])
+    assert all(row["slope_defined"] is False for row in rows)
+    assert all(np.isnan(row["slope_sigma2"]) and np.isnan(row["slope_eta2"]) for row in rows)
 
 
 def test_benchmark_small_run(tmp_path):
@@ -655,6 +654,31 @@ def test_filter_smoothing_window_longer_than_series(tmp_path):
     assert len(smoothed) == 1
     sq_errs = np.array([float(row[3]) for row in rows])
     assert float(next(iter(smoothed))) == pytest.approx(sq_errs.mean(), rel=1e-12)
+
+
+def test_filter_one_row_test_split(tmp_path):
+    # Only the train rows are cut out; a one-row test split is never built.
+    dataset, _ = simulate(SimulationConfig(T=100, n=2, sigma2=0.5, eta2=1.0, seed=18))
+    code, out, _err = run_cli(
+        ["filter", "--input", dataset_file(tmp_path, dataset), "--baseline", "stationary",
+         "--train-fraction", "0.99"]
+    )
+    assert code == 0
+    aggregate = read_aggregate(out)
+    assert aggregate["train_count"] == 99
+    assert aggregate["test_count"] == 1
+
+
+def test_filter_unobserved_test_split_has_no_mse(tmp_path):
+    dataset, _ = simulate(SimulationConfig(T=100, n=2, sigma2=0.5, eta2=1.0, seed=18, missing=(100,)))
+    code, out, _err = run_cli(
+        ["filter", "--input", dataset_file(tmp_path, dataset), "--baseline", "stationary",
+         "--train-fraction", "0.99"]
+    )
+    assert code == 0
+    aggregate = read_aggregate(out)
+    assert aggregate["test_count"] == 0
+    assert aggregate["test_mse"] is None
 
 
 def test_filter_bad_train_fraction_exits_3(tmp_path, rng):

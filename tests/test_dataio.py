@@ -1,4 +1,4 @@
-"""CSV ingestion/serialization and the train/test split."""
+"""CSV ingestion and serialization."""
 import io
 
 import numpy as np
@@ -8,7 +8,6 @@ from stve import (
     CsvFormatError,
     RegressionDataset,
     read_csv,
-    split_dataset,
     write_csv,
 )
 
@@ -196,7 +195,8 @@ def test_round_trip_preserves_noncontiguous_labels(rng):
 def test_comment_round_trip(rng):
     dataset = make_dataset(rng, T=5, n=1)
     buffer = io.StringIO()
-    write_csv(dataset, buffer, comment="config digest abc123")
+    buffer.write("# config digest abc123\n")
+    write_csv(dataset, buffer)
     text = buffer.getvalue()
     assert text.startswith("# config digest abc123\n")
     back = read_csv(io.StringIO(text))
@@ -210,21 +210,3 @@ def test_missing_rows_written_as_empty_cells(rng):
     row = buffer.getvalue().splitlines()[2]
     assert row.split(",")[1] == ""
 
-
-# ---------------------------------------------------------------------------
-# splitting
-
-
-def test_split_keeps_time_labels(rng):
-    dataset = make_dataset(rng, T=10, n=2)
-    train, test = split_dataset(dataset, 6)
-    assert np.array_equal(train.time_index, np.arange(1, 7))
-    assert np.array_equal(test.time_index, np.arange(7, 11))
-    assert np.array_equal(np.vstack([train.u, test.u]), dataset.u)
-
-
-@pytest.mark.parametrize("cut", [0, 10, -1])
-def test_split_bounds_validated(rng, cut):
-    dataset = make_dataset(rng, T=10, n=2)
-    with pytest.raises(ValueError, match="splits"):
-        split_dataset(dataset, cut)

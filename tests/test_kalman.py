@@ -5,7 +5,7 @@ import pytest
 
 from stve import KalmanConfig, RegressionDataset, run_filter
 
-from conftest import make_dataset
+from conftest import dense_system_matrix, make_dataset
 
 
 def scalar_oracle(y, u, observed, sigma2, eta2, x0, c0):
@@ -183,6 +183,41 @@ class TestFilterBehavior:
         assert trajectory.scales.shape == (20,)
         with pytest.raises(ValueError):
             trajectory.scales[0] = 1.0
+
+
+class TestGappedTimeLabels:
+    def test_n1_loglik_is_the_dense_gaussian_density(self, rng):
+        # A gap of k labels is k walk steps: at n = 1, started at x0 = 0 with
+        # a vanishing covariance, the filter computes the exact density.
+        labels = np.sort(rng.choice(np.arange(2, 81), size=40, replace=False))
+        ds = RegressionDataset(u=rng.normal(size=(40, 1)), y=rng.normal(size=40), time_index=labels)
+        sigma2, eta2 = 0.5, 2.0
+        trajectory = run_filter(ds, KalmanConfig(sigma2=sigma2, eta2=eta2, c0_scale=1e-14))
+        dense = dense_system_matrix(ds)
+        cov = sigma2 * dense @ dense.T + eta2 * np.eye(40)
+        _sign, logdet = np.linalg.slogdet(cov)
+        expected = -0.5 * (40 * math.log(2.0 * math.pi) + logdet + float(ds.y @ np.linalg.solve(cov, ds.y)))
+        np.testing.assert_allclose(trajectory.loglik, expected, rtol=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_gap_equals_inserted_unobserved_rows(self, rng, n):
+        labels = np.array([1, 2, 5, 6, 7, 12, 13, 20, 21, 22])
+        gapped = RegressionDataset(
+            u=rng.normal(size=(10, n)), y=rng.normal(size=10), observed=[True] * 4 + [False] + [True] * 5,
+            time_index=labels,
+        )
+        u, y = np.ones((22, n)), np.full(22, np.nan)
+        u[labels - 1], y[labels - 1] = gapped.u, gapped.y
+        observed = np.zeros(22, dtype=bool)
+        observed[labels - 1] = gapped.observed
+        filled = RegressionDataset(u=u, y=y, observed=observed)
+        config = KalmanConfig(sigma2=0.3, eta2=0.8)
+        sparse, full = run_filter(gapped, config), run_filter(filled, config)
+        rows = labels - 1
+        np.testing.assert_allclose(sparse.states, full.states[rows], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sparse.scales, full.scales[rows], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sparse.predictions, full.predictions[rows], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sparse.loglik, full.loglik, rtol=1e-12)
 
 
 class TestPredictNext:

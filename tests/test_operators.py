@@ -16,7 +16,7 @@ class TestRegressionDataset:
         ds = RegressionDataset(u=np.ones((3, 2)), y=np.zeros(3))
         assert ds.horizon == 3
         assert ds.dim == 2
-        assert ds.effective_horizon == 3
+        assert ds.observed.sum() == 3
         assert np.array_equal(ds.time_index, [1, 2, 3])
 
     def test_too_few_rows(self):
@@ -39,7 +39,7 @@ class TestRegressionDataset:
             RegressionDataset(u=np.ones((3, 1)), y=y)
         # NaN at an unobserved position is fine
         ds = RegressionDataset(u=np.ones((3, 1)), y=y, observed=[True, False, True])
-        assert ds.effective_horizon == 2
+        assert ds.observed.sum() == 2
 
     def test_arrays_read_only(self):
         ds = RegressionDataset(u=np.ones((2, 1)), y=np.zeros(2))

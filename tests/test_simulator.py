@@ -269,8 +269,10 @@ def test_estimators_share_each_dataset_without_changing_results():
 @pytest.mark.filterwarnings("error")
 def test_benchmark_table_slope_undefined_on_a_single_horizon():
     # repeating one horizon gives nothing to fit a decay slope to
-    rows, slopes = benchmark_table([20, 20, 20], 3, {"stub": _second_moment_stub}, sigma2=0.4, eta2=1.1, n=2)
+    cell = SimulationConfig(T=20, n=2, sigma2=0.4, eta2=1.1)
+    rows = benchmark_table(cell, [20, 20, 20], 3, {"stub": _second_moment_stub})
     assert [row["T"] for row in rows] == [20, 20, 20]
-    for param in ("sigma2", "eta2"):
-        assert slopes["stub"][param]["defined"] is False
-        assert math.isnan(slopes["stub"][param]["slope"])
+    for row in rows:
+        assert row["slope_defined"] is False
+        assert math.isnan(row["slope_sigma2"])
+        assert math.isnan(row["slope_eta2"])
