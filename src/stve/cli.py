@@ -465,7 +465,7 @@ def _cmd_spectrum(args) -> int:
     started = time.perf_counter()
     config = _checked(StveConfig, min_row_norm=args.min_row_norm)
     dataset, digest = _load_dataset(args.input)
-    _filtered, _dropped, spectrum = spectral_system(dataset, config.min_row_norm)
+    _filtered, _dropped, spectrum = spectral_system(dataset, config.min_row_norm, vectors=False)
     order = spectrum.order
     gamma_sq = spectrum.eigenvalues
     chi_sq = (1.0 / gamma_sq)[::-1]  # descending pseudo-inverse spectrum

@@ -110,20 +110,28 @@ _SYSTEMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def spectral_system(
-    dataset: RegressionDataset, min_row_norm: float = DEFAULT_MIN_ROW_NORM, min_rows: int = 2
+    dataset: RegressionDataset,
+    min_row_norm: float = DEFAULT_MIN_ROW_NORM,
+    min_rows: int = 2,
+    vectors: bool = True,
 ) -> tuple[RegressionDataset, np.ndarray, GramSpectrum]:
     """(filtered dataset, dropped time labels, Gram spectrum), computed once
     per (dataset, min_row_norm) and shared by every caller; its arrays are
     read-only.  Raises ValueError when fewer than min_rows rows survive
     filtering, before any eigendecomposition.
+
+    vectors=False asks for eigenvalues only: a cached spectrum of either kind
+    serves it, and a miss computes and caches a values-only spectrum.  A
+    caller that needs vectors never gets a values-only spectrum; it gets a
+    full decomposition, which replaces the cached one.
     """
     system = _SYSTEMS.get(dataset, {}).get(min_row_norm)
     filtered, dropped = system[:2] if system is not None else filter_rows(dataset, min_row_norm)
     if filtered.horizon < min_rows:
         raise ValueError(f"need at least {min_rows} rows after filtering, have {filtered.horizon}")
-    if system is None:
+    if system is None or (vectors and system[2].vectors is None):
         dropped.setflags(write=False)
-        system = (filtered, dropped, eigendecompose(gram_matrix(filtered)))
+        system = (filtered, dropped, eigendecompose(gram_matrix(filtered), vectors=vectors))
         _SYSTEMS.setdefault(dataset, {})[min_row_norm] = system
     return system
 

@@ -3,7 +3,10 @@
 The eigenvalues of the Gram matrix are the squared singular values of the
 system operator; their inverses are the squared singular values of its
 pseudo-inverse.  The estimator only ever needs two Hilbert-Schmidt sums and
-two quadratic forms, all cheap once the eigendecomposition is done.
+two quadratic forms, all cheap once the eigendecomposition is done.  The sums
+need the eigenvalues alone; only the quadratic forms need the eigenvectors,
+so `eigendecompose(gram, vectors=False)` skips them (LAPACK then leaves out
+the eigenvector back-transformation, about half of the work).
 """
 from __future__ import annotations
 
@@ -20,29 +23,38 @@ __all__ = [
 ]
 
 _SYMMETRY_TOL = 1e-10
+# Rows per block of the symmetry check; each block reads a contiguous row
+# panel and a column panel, so no strided full transpose is formed.
+_SYMMETRY_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
 class GramSpectrum:
-    """Eigenpairs of a Gram matrix: eigenvalues descending, vectors[:, i] matching."""
+    """Eigenvalues of a Gram matrix, descending, with vectors[:, i] matching.
+
+    vectors is None for a values-only spectrum (eigendecompose with
+    vectors=False); such a spectrum serves `functionals` but not
+    `quadratic_forms`.
+    """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         values = np.array(self.eigenvalues, dtype=np.float64).reshape(-1)
-        vectors = np.array(self.vectors, dtype=np.float64)
         m = values.shape[0]
-        if vectors.shape != (m, m):
-            raise ValueError("vectors must be square with one column per eigenvalue")
+        if self.vectors is not None:
+            vectors = np.array(self.vectors, dtype=np.float64)
+            if vectors.shape != (m, m):
+                raise ValueError("vectors must be square with one column per eigenvalue")
+            vectors.setflags(write=False)
+            object.__setattr__(self, "vectors", vectors)
         if m < 1 or values[-1] <= 0.0:
             raise ValueError("eigenvalues must be strictly positive")
         if np.any(np.diff(values) > 0):
             raise ValueError("eigenvalues must be sorted descending")
         values.setflags(write=False)
-        vectors.setflags(write=False)
         object.__setattr__(self, "eigenvalues", values)
-        object.__setattr__(self, "vectors", vectors)
 
     @property
     def order(self) -> int:
@@ -68,9 +80,18 @@ class SpectralFunctionals:
     gap_ratio: float
 
 
-def eigendecompose(gram: np.ndarray) -> GramSpectrum:
+def _asymmetry(g: np.ndarray) -> float:
+    """max |g - g.T|, read over the upper triangle one block of rows at a time."""
+    m = g.shape[0]
+    b = _SYMMETRY_BLOCK
+    return max(float(np.abs(g[i : i + b, i:] - g[i:, i : i + b].T).max()) for i in range(0, m, b))
+
+
+def eigendecompose(gram: np.ndarray, vectors: bool = True) -> GramSpectrum:
     """Symmetric eigendecomposition of a Gram matrix, sorted descending.
 
+    With vectors=False only the eigenvalues are computed (np.linalg.eigvalsh)
+    and the returned spectrum's vectors is None; the checks are the same.
     Raises ValueError if the input is not finite, not symmetric to 1e-10
     (relative to the largest entry), or has an eigenvalue <= 0, which signals
     a zero-norm or duplicate row that should have been filtered out.
@@ -82,17 +103,20 @@ def eigendecompose(gram: np.ndarray) -> GramSpectrum:
     if not np.all(np.isfinite(g)):
         raise ValueError("gram contains non-finite entries")
     scale = max(1.0, float(np.abs(g).max()))
-    if float(np.abs(g - g.T).max()) > _SYMMETRY_TOL * scale:
+    if _asymmetry(g) > _SYMMETRY_TOL * scale:
         raise ValueError("gram is not symmetric")
-    # eigh reads one triangle; the check above bounds what that ignores.
-    values, vectors = np.linalg.eigh(g)
+    # eigh and eigvalsh read one triangle; the check above bounds what that ignores.
+    if vectors:
+        values, basis = np.linalg.eigh(g)
+    else:
+        values, basis = np.linalg.eigvalsh(g), None
     if values[0] <= 0.0:
         raise ValueError(
             "gram matrix is numerically singular; a zero-norm or duplicate row "
             "may have slipped through row filtering"
         )
     # Descending views; GramSpectrum makes the one contiguous copy.
-    return GramSpectrum(eigenvalues=values[::-1], vectors=vectors[:, ::-1])
+    return GramSpectrum(eigenvalues=values[::-1], vectors=None if basis is None else basis[:, ::-1])
 
 
 def _check_p(spectrum: GramSpectrum, p: int) -> None:
@@ -108,6 +132,8 @@ def quadratic_forms(spectrum: GramSpectrum, y: np.ndarray, p: int) -> tuple[floa
     largest singular values of the pseudo-inverse).
     """
     _check_p(spectrum, p)
+    if spectrum.vectors is None:
+        raise ValueError("quadratic forms need eigenvectors; this spectrum holds eigenvalues only")
     arr = np.asarray(y, dtype=np.float64).reshape(-1)
     if arr.shape[0] != spectrum.order:
         raise ValueError("y length does not match the spectrum order")

@@ -14,7 +14,10 @@ import pytest
 import stve
 from stve import (
     SimulationConfig,
+    eigendecompose,
     estimate,
+    filter_rows,
+    gram_matrix,
     read_csv,
     replicate,
     simulate,
@@ -183,7 +186,7 @@ PIPELINE_DIGESTS = {
     "kalman": "2978a470b11edd314b2755e35c20610da58a092414dec3ae7a4f312b140f0719",
     "og": "e59877a0a2327c2ee5fd51cf0b64ebec33b0e3cee2107f72244c952ab5690200",
     "stationary": "88f72cc03be5b55019f2253e9b8773fdcbfe45166f507e075cb7ce44882fd9a1",
-    "spectrum": "43ee528805bbbc4e037a65dba16c108f1d6ed2a32632e5fccf0b6224213a73f6",
+    "spectrum": "987eaf4bc5731608ae8f5b4ffa35a44b541e767ae130e345e7cb78ade2d887bc",
 }
 
 
@@ -263,6 +266,10 @@ def _oom(_dataset):
         (["filter", "--baseline", "stationary", "--window", "0"], None, None, 3, "--window"),
         (["filter", "--auto", "--alpha", "0"], None, None, 3, "alpha must be in (0, 1]"),
         (["filter", "--sigma2", "-1", "--eta2", "1"], None, None, 3, "sigma2"),
+        # a row of norm 1e-100 leaves an eigenvalue near 1e-200, far below the
+        # rounding error of the others (about 1e-14), which here comes out negative
+        (["spectrum", "--min-row-norm", "0"], "2,0.2,1e-100,0.0", None, 2, "numerically singular"),
+        (["estimate", "--min-row-norm", "0"], "2,0.2,1e-100,0.0", None, 2, "numerically singular"),
     ],
 )
 def test_failure_exit_codes(tmp_path, monkeypatch, argv, line_3, patch, code, message):
@@ -750,6 +757,24 @@ def test_spectrum_flat_instance(tmp_path):
     full_mean = np.array([float(row[4]) for row in rows])
     np.testing.assert_allclose(chi, 1.0, rtol=1e-10)
     np.testing.assert_allclose(truncated, full_mean, rtol=1e-10)
+
+
+def test_spectrum_matches_full_decomposition_and_estimate(tmp_path):
+    # the values-only eigenvalues agree with the eigh path estimate uses
+    dataset = make_dataset(np.random.default_rng(26), 400, 5, missing=range(3, 400, 11))
+    path = dataset_file(tmp_path, dataset)
+    code, out, _err = run_cli(["spectrum", "--input", path])
+    assert code == 0
+    _comments, _header, rows = parse_table(out)
+    gamma_sq = np.array([float(row[1]) for row in rows])
+    full = eigendecompose(gram_matrix(filter_rows(dataset)[0]))
+    assert gamma_sq.shape == full.eigenvalues.shape
+    assert np.all(np.abs(gamma_sq - full.eigenvalues) <= 1e-12 * full.eigenvalues[0])
+    code, out, _err = run_cli(["estimate", "--input", path])
+    assert code == 0
+    payload = json.loads(out)
+    expected = payload["pinv_hs_sq"] / payload["effective_T"]
+    assert float(rows[0][4]) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_spectrum_writes_output_file(tmp_path):

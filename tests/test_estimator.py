@@ -20,7 +20,9 @@ from stve import (
     replicate,
     simulate,
     truncation_size,
+    write_csv,
 )
+from stve.cli import main
 from stve.estimator import spectral_system
 
 from conftest import make_dataset, moment_equation_check
@@ -266,6 +268,20 @@ def eigh_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Counts calls of np.linalg.eigvalsh."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
 class TestSpectralSystem:
     def test_one_eigh_per_dataset(self, rng, eigh_calls):
         ds = make_dataset(rng, 60, 3)
@@ -273,6 +289,28 @@ class TestSpectralSystem:
         mle_fit(ds)
         moment_equation_check(ds, NoiseSpec(), NoiseSpec(), 10)
         assert len(eigh_calls) == 1
+
+    def test_spectrum_command_computes_eigenvalues_only(self, rng, tmp_path, eigh_calls, eigvalsh_calls):
+        path = tmp_path / "data.csv"
+        write_csv(make_dataset(rng, 60, 3, missing=(7, 30)), str(path))
+        assert main(["spectrum", "--input", str(path), "--out", str(tmp_path / "spectrum.csv")]) == 0
+        assert (len(eigh_calls), len(eigvalsh_calls)) == (0, 1)
+
+    def test_values_only_then_estimate_decomposes_once(self, rng, eigh_calls, eigvalsh_calls):
+        ds = make_dataset(rng, 60, 3)
+        assert spectral_system(ds, vectors=False)[2].vectors is None
+        estimate(ds)
+        mle_fit(ds)
+        full = spectral_system(ds)[2]
+        assert full.vectors is not None
+        assert spectral_system(ds, vectors=False)[2] is full
+        assert (len(eigh_calls), len(eigvalsh_calls)) == (1, 1)
+
+    def test_full_spectrum_serves_values_only(self, rng, eigh_calls, eigvalsh_calls):
+        ds = make_dataset(rng, 60, 3)
+        full = spectral_system(ds)[2]
+        assert spectral_system(ds, vectors=False)[2] is full
+        assert (len(eigh_calls), len(eigvalsh_calls)) == (1, 0)
 
     def test_cached_spectrum_dies_with_its_dataset(self, rng):
         ds = make_dataset(rng, 30, 2)

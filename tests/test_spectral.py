@@ -9,7 +9,7 @@ from stve import (
     gram_matrix,
     quadratic_forms,
 )
-from stve.spectral import GramSpectrum
+from stve.spectral import _SYMMETRY_BLOCK, GramSpectrum, _asymmetry
 
 from conftest import brute_force_pinv_quantities, make_dataset
 
@@ -56,9 +56,35 @@ class TestEigendecompose:
         assert np.allclose(recon, G, rtol=1e-8, atol=1e-8 * scale)
         assert np.allclose(spec.vectors.T @ spec.vectors, np.eye(spec.order), atol=1e-8)
 
+    def test_values_only_matches_full(self, rng):
+        ds = make_dataset(rng, 80, 3, missing=(5, 17, 40))
+        G = gram_matrix(filter_rows(ds)[0])
+        full = eigendecompose(G)
+        values_only = eigendecompose(G, vectors=False)
+        assert values_only.vectors is None
+        assert values_only.order == full.order
+        assert not values_only.eigenvalues.flags.writeable
+        tol = 1e-12 * full.eigenvalues[0]
+        assert np.all(np.abs(values_only.eigenvalues - full.eigenvalues) <= tol)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("entry", [(0, 299), (140, 120)])
+    def test_asymmetry_found_in_any_block(self, vectors, entry):
+        # (0, m - 1) is the far corner; (140, 120) straddles the first block edge
+        assert 120 < _SYMMETRY_BLOCK < 140
+        G = np.eye(300)
+        G[entry] = 1e-6
+        with pytest.raises(ValueError, match="gram is not symmetric"):
+            eigendecompose(G, vectors=vectors)
+
+    @pytest.mark.parametrize("m", [1, 127, 128, 129, 300])
+    def test_blocked_asymmetry_equals_the_full_transpose(self, rng, m):
+        g = rng.normal(size=(m, m))
+        assert _asymmetry(g) == np.abs(g - g.T).max()
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(ValueError):
@@ -71,6 +97,21 @@ class TestEigendecompose:
         G[0, 0] = np.inf
         with pytest.raises(ValueError):
             eigendecompose(G)
+
+    @pytest.mark.parametrize(
+        "gram, message",
+        [
+            (np.array([[1.0, 2.0], [0.0, 1.0]]), "gram is not symmetric"),
+            (np.array([[1.0, 0.0], [0.0, -0.5]]), "numerically singular"),
+            (np.zeros((3, 3)), "numerically singular"),
+            (np.diag([np.inf, 1.0]), "non-finite"),
+            (np.ones(3), "square 2-D"),
+        ],
+    )
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_both_paths_reject_with_one_message(self, gram, message, vectors):
+        with pytest.raises(ValueError, match=message):
+            eigendecompose(gram, vectors=vectors)
 
     @pytest.mark.parametrize("trial", range(5))
     def test_singular_value_bounds(self, trial):
@@ -148,6 +189,11 @@ class TestQuadraticForms:
         spec = two_step_spectrum()
         with pytest.raises(ValueError):
             quadratic_forms(spec, np.zeros(3), 1)
+
+    def test_values_only_spectrum_raises(self):
+        spec = eigendecompose(np.array([[1.0, 1.0], [1.0, 2.0]]), vectors=False)
+        with pytest.raises(ValueError, match="need eigenvectors"):
+            quadratic_forms(spec, np.zeros(2), 1)
 
 
 class TestFunctionals:
