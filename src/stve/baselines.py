@@ -57,15 +57,17 @@ def online_gradient_run(dataset: RegressionDataset, rate: float) -> OnlineGradie
     states = np.empty((horizon, dim))
     predictions = np.empty(horizon)
     sse = 0.0
-    for t in range(horizon):
-        u = dataset.u[t]
+    limit = DIVERGENCE_LIMIT * DIVERGENCE_LIMIT
+    # Row views and Python scalars, produced as the loop goes.
+    rows = zip(dataset.u, memoryview(dataset.y), memoryview(dataset.observed))
+    for t, (u, y, seen) in enumerate(rows):
         pred = float(state @ u)
         predictions[t] = pred
-        if dataset.observed[t]:
-            err = dataset.y[t] - pred
+        if seen:
+            err = y - pred
             sse += err * err
             state = state + rate * err * u
-            if float(state @ state) > DIVERGENCE_LIMIT * DIVERGENCE_LIMIT:
+            if float(state @ state) > limit:
                 raise RuntimeError(f"online gradient diverged at step {t + 1}")
         states[t] = state
     states.setflags(write=False)

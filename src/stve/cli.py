@@ -97,17 +97,11 @@ def _load_dataset(path: str):
     parser reads them; newline="" keeps those equal to the file's bytes.
     """
     digest = hashlib.sha256()
-
-    def hashed(lines):
-        for line in lines:
-            digest.update(line.encode("utf-8"))
-            yield line
-
     if path == "-":
-        dataset = read_csv(hashed(sys.stdin))
+        dataset = read_csv(sys.stdin, digest=digest)
     else:
         with open(path, encoding="utf-8", newline="") as fh:
-            dataset = read_csv(hashed(fh))
+            dataset = read_csv(fh, digest=digest)
     return dataset, "sha256:" + digest.hexdigest()
 
 
@@ -170,9 +164,11 @@ def _cmd_estimate(args) -> int:
         "pinv_hs_sq": result.functionals.pinv_hs_sq,
         "trunc_hs_sq": result.functionals.trunc_hs_sq,
         "gap_lower_bound": result.gap_lower_bound,
+        "dropped_count": int(result.dropped.size),
         "warnings": list(result.warnings),
     }
     if args.format == "json":
+        payload["dropped"] = result.dropped.tolist()
         payload["manifest"] = manifest
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:

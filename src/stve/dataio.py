@@ -8,17 +8,20 @@ Any other non-finite value (inf, or nan in a u cell) is malformed input.
 Lines starting with '#' are comments and are skipped, which is where run
 manifests live in files written by the CLI.
 
-The reader streams its input through `csv.reader` and converts the data rows
-in blocks of 1024, a column at a time: `int` over the t cells, `float` over the
-y and u cells, then the finiteness and ordering checks on whole arrays.  A
-block where any of that fails is walked again row by row, which reports the
-first bad row with its physical line number (a quoted cell may span lines).
-The writer formats a block of each column at once with `repr`, so floats
-round-trip exactly.
+The reader finds the header with `csv.reader`, then reads the data lines in
+blocks of 1024.  A block of plain numeric lines is parsed by numpy's C reader,
+`np.loadtxt`, and checked on whole arrays: the cell count, strictly increasing
+integer t >= 1, finite u, and a non-finite y only from a blank or nan cell.
+Any block that fails one of these, or holds a quote, a line break inside a
+line or an over-long line, is walked again through `csv.reader` row by row,
+which reports the first bad row with its physical line number (a quoted cell
+may span lines, even past the end of the block).  The writer formats a block
+of each column at once with `repr`, so floats round-trip exactly.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from typing import IO, Iterable, Sequence
 
@@ -53,58 +56,101 @@ def _parse_float(cell: str, what: str, line: int) -> float:
     return value
 
 
-def read_csv(source: str | Iterable[str]) -> RegressionDataset:
+def read_csv(source: str | Iterable[str], digest=None) -> RegressionDataset:
     """Parse a dataset CSV from a path or an iterable of lines (such as an open
-    file); raises CsvFormatError with a line number on bad input."""
+    file); raises CsvFormatError with a line number on bad input.  digest, if
+    given (a hashlib object), is updated with the UTF-8 bytes of every line
+    read."""
     if isinstance(source, str):
         with open(source, newline="", encoding="utf-8") as fh:
-            return _read_csv(fh)
-    return _read_csv(source)
+            return _read_csv(fh, digest)
+    return _read_csv(source, digest)
 
 
-# Data records are converted in blocks of this many, so memory holds one
-# block of cell strings, not the whole file.
+# Lines are read, and rows written, in blocks of this many, so memory holds
+# one block of text.
 _BLOCK = 1024
+# Lines the csv module reads as blank records.
+_BLANK = frozenset(("", "\n", "\r\n"))
+# Width of the text field a y cell is read into.
+_Y_WIDTH = 32
 
 
-def _read_csv(fh: Iterable[str]) -> RegressionDataset:
-    reader = csv.reader(fh)
-    layout: tuple[bool, int] | None = None  # (has_t, dim), from the header
-    block: list[list[str]] = []
-    lines: list[int] = []
-    parts: list[tuple] = []
+def _is_comment(record: list[str]) -> bool:
+    return record[0].lstrip().startswith("#")
 
-    def convert() -> None:
-        has_t, dim = layout
-        prev_t = parts[-1][0][-1] if has_t and parts else 0
-        parts.append(_convert_block(block, lines, has_t, dim, prev_t))
-        block.clear()
-        lines.clear()
 
-    try:
-        for record in reader:
-            if not record or record[0].lstrip().startswith("#"):
-                continue
-            if layout is None:
-                layout = _parse_header(record, reader.line_num)
-                continue
-            block.append(record)
-            lines.append(reader.line_num)
-            if len(block) == _BLOCK:
-                convert()
-    except (csv.Error, UnicodeError):
-        # A bad row read before the unreadable line is reported first.
-        if block:
-            convert()
-        raise
-    if block:
-        convert()
+def _read_csv(source: Iterable[str], digest) -> RegressionDataset:
+    lines = iter(source)
 
-    if layout is None:
+    def fed(more: Iterable[str]):
+        for line in more:
+            if digest is not None:
+                digest.update(line.encode("utf-8"))
+            yield line
+
+    header = csv.reader(fed(lines))
+    for record in header:
+        if record and not _is_comment(record):
+            has_t, dim = _parse_header(record, header.line_num)
+            break
+    else:
         raise CsvFormatError("empty input, no header row")
+
+    def walk(block: list[str], before: int, prev_t: int, error: UnicodeError | None) -> tuple[tuple, int]:
+        # The reference parse: csv.reader over the block, then _parse_rows.  A
+        # quoted cell still open at the block's end reads on into the stream.
+        # Returns the rows and the number of lines read.
+        def spill():
+            yield from block
+            if error is not None:
+                raise error
+            yield from fed(lines)
+
+        reader = csv.reader(spill())
+        records: list[list[str]] = []
+        numbers: list[int] = []
+        try:
+            for record in reader:
+                if record and not _is_comment(record):
+                    records.append(record)
+                    numbers.append(before + reader.line_num)
+                if reader.line_num >= len(block):
+                    break
+        except (csv.Error, UnicodeError):
+            # A bad row read before the unreadable line is reported first.
+            _parse_rows(records, numbers, has_t, dim, prev_t)
+            raise
+        return _parse_rows(records, numbers, has_t, dim, prev_t), reader.line_num
+
+    parts: list[tuple] = []
+    before = header.line_num
+    prev_t = 0
+    while True:
+        block: list[str] = []
+        error = None
+        try:
+            block.extend(itertools.islice(lines, _BLOCK))
+        except UnicodeError as exc:
+            error = exc
+        if digest is not None:
+            digest.update("".join(block).encode("utf-8"))
+        if block:
+            part = _load_block(block, has_t, dim, prev_t)
+            used = len(block)
+            if part is None:
+                part, used = walk(block, before, prev_t, error)
+            before += used
+            if len(part[1]):
+                parts.append(part)
+                prev_t = part[0][-1] if has_t else 0
+        if error is not None:
+            raise error
+        if len(block) < _BLOCK:
+            break
+
     if not parts:
         raise CsvFormatError("no data rows")
-    has_t, dim = layout
     times, ys, mask, rows = zip(*parts)
     return RegressionDataset(
         u=np.concatenate([np.asarray(r, dtype=np.float64).reshape(-1, dim) for r in rows]),
@@ -128,35 +174,43 @@ def _parse_header(record: list[str], line: int) -> tuple[bool, int]:
     return has_t, len(feats)
 
 
-def _convert_block(records: list[list[str]], lines: list[int], has_t: bool, dim: int, prev_t: int) -> tuple:
-    """(t, y, observed, u) of a block of data records, converted a column at
-    a time.  A cell or check that fails in bulk sends the block through
-    `_parse_rows`, which walks it row by row and raises the first error at its
-    line (or accepts what only fails in bulk, such as a blank y cell padded
-    with spaces)."""
-    first = 1 if has_t else 0
-    count = len(records)
-    if set(map(len, records)) != {first + 1 + dim}:
-        return _parse_rows(records, lines, has_t, dim, prev_t)
-    columns = list(zip(*records))
-    y_cells = columns[first]
+def _load_block(block: list[str], has_t: bool, dim: int, prev_t: int) -> tuple | None:
+    """(t, y, observed, u) of a block of data lines, parsed by np.loadtxt with
+    the checks of `_parse_rows` run on whole arrays; None when the block needs
+    the csv.reader walk instead, which then accepts it or reports its first
+    bad row.  That is a block with a quote, a line longer than the csv field
+    limit, a line break inside a line, or a row that fails a check."""
+    text = "".join(block)
+    if '"' in text or max(map(len, block)) > csv.field_size_limit():
+        return None
+    if "#" in text or not _BLANK.isdisjoint(block):
+        block = [line for line in block if line not in _BLANK and not line.lstrip().startswith("#")]
+        if not block:
+            return None
+    # y is read as text, so an empty cell can mark a missing response, then
+    # parsed as numbers with the blanks read as nan.  A cell that fills its
+    # text field may have been cut short.
+    fields = [("y", f"U{_Y_WIDTH}"), ("u", np.float64, (dim,))]
+    options = {"delimiter": ",", "comments": None, "quotechar": None, "ndmin": 1}
     try:
-        times = np.fromiter(map(int, columns[0]), np.int64, count) if has_t else None
-        y = np.fromiter(map(float, [cell or "nan" for cell in y_cells]), np.float64, count)
-        u = np.empty((count, dim))
-        for j in range(dim):
-            u[:, j] = np.fromiter(map(float, columns[first + 1 + j]), np.float64, count)
-        ordered = not has_t or (times[0] > prev_t and np.all(np.diff(times) > 0))
-    except (ValueError, OverflowError):
-        return _parse_rows(records, lines, has_t, dim, prev_t)
+        table = np.loadtxt(block, dtype=([("t", np.int64)] if has_t else []) + fields, **options)
+        if len(table) != len(block) or np.char.str_len(table["y"]).max() >= _Y_WIDTH:
+            return None
+        cells = np.where(table["y"] == "", "nan", table["y"])
+        y = np.loadtxt(cells.tolist(), dtype=np.float64, **options)
+    except ValueError:
+        return None
+    u = table["u"]
+    times = table["t"] if has_t else None
     observed = np.isfinite(y)
     if (
-        not ordered
+        (has_t and not (times[0] > prev_t and np.all(times[1:] > times[:-1])))
         or not np.all(np.isfinite(u))
-        or any(y_cells[k].strip().lower() not in ("", "nan") for k in np.flatnonzero(~observed))
+        or not np.all(np.char.lower(np.char.strip(cells[~observed])) == "nan")
     ):
-        return _parse_rows(records, lines, has_t, dim, prev_t)
-    return times, y, observed, u
+        return None
+    # Copies, so the block's table, text cells included, is freed.
+    return (times.copy() if has_t else None), y, observed, u.copy()
 
 
 def _parse_rows(records: list[list[str]], lines: list[int], has_t: bool, dim: int, prev_t: int) -> tuple:

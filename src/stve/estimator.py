@@ -74,15 +74,16 @@ class StveConfig:
         return max(4, math.ceil(1.0 / self.alpha))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StveEstimate:
     """Estimator output: final (clamped) and raw variance estimates plus diagnostics.
 
     gap_lower_bound is the structural lower-bound proxy for the gap built from
     row-norm extremes, (min_t |sum_j u_tj| / (n max_t ||u_t||)) times the mean
     inverse-eigenvalue mass; it is stated for the quarter truncation
-    p = ceil(T'/4), so read it as indicative for other alpha.  warnings
-    collects stability and clamping notes.
+    p = ceil(T'/4), so read it as indicative for other alpha.  dropped holds
+    the time labels of the rows the row filter removed (read-only), and
+    warnings collects stability and clamping notes.
     """
 
     sigma2: float
@@ -92,6 +93,7 @@ class StveEstimate:
     functionals: SpectralFunctionals
     effective_T: int
     gap_lower_bound: float
+    dropped: np.ndarray
     warnings: tuple[str, ...]
 
 
@@ -151,7 +153,7 @@ def estimate(dataset: RegressionDataset, config: StveConfig | None = None) -> St
     (flat spectrum, the system is singular and estimation is impossible).
     """
     config = config if config is not None else StveConfig()
-    filtered, _dropped, spectrum = spectral_system(dataset, config.min_row_norm, config.min_rows)
+    filtered, dropped, spectrum = spectral_system(dataset, config.min_row_norm, config.min_rows)
     effective = filtered.horizon
     p = truncation_size(effective, config.alpha)
     funcs = functionals(spectrum, p)
@@ -200,5 +202,6 @@ def estimate(dataset: RegressionDataset, config: StveConfig | None = None) -> St
         functionals=funcs,
         effective_T=effective,
         gap_lower_bound=float(gap_lower_bound),
+        dropped=dropped,
         warnings=tuple(warnings),
     )

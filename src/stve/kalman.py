@@ -15,8 +15,15 @@ n > 1 the exact posterior covariance is not a multiple of I.  Missing steps
 propagate only: the scale becomes the prior and the state is unchanged.  The
 log-likelihood accumulates Gaussian innovation terms over the observed steps.
 
+`run_filter` computes in two passes.  The scale recursion is scalar and runs
+as a loop over Python floats; it fixes every step's innovation variance s and
+gain vector k = (prior / s) u (zero at missing steps).  The state recursion
+x_next = x + k (y - <x, u>) is then solved for those gains 64 rows at a time,
+one triangular LAPACK solve per block (see `_state_recursion`), which takes
+any per-step gain vectors, not only isotropic ones.
+
 The filter stays isotropic on purpose: it is the online-prediction baseline,
-one O(n) update per step.  It is not the model's likelihood for n > 1;
+O(n) work per step.  It is not the model's likelihood for n > 1;
 `stve.baselines.mle_fit` maximizes the exact Gaussian likelihood from the
 Gram spectrum instead, and matches this filter's loglik at n = 1 when the
 filter starts at x0 = 0 with a vanishing c0_scale.
@@ -24,6 +31,7 @@ filter starts at x0 = 0 with a vanishing c0_scale.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,47 +90,30 @@ class KalmanTrajectory:
 def run_filter(dataset: RegressionDataset, config: KalmanConfig) -> KalmanTrajectory:
     """Run the filter over the dataset; raises FloatingPointError if the
     recursion leaves the finite range."""
-    horizon, dim = dataset.horizon, dataset.dim
+    dim = dataset.dim
     if config.x0 is None:
         state = np.zeros(dim)
     else:
         if config.x0.shape[0] != dim:
             raise ValueError("x0 length does not match the dataset dimension")
         state = np.array(config.x0)
-    scale = config.c0_scale
-    eta2 = config.eta2
-    # Walk variance added before each row, as Python floats for the loop.
-    drift = (config.sigma2 * np.diff(dataset.time_index, prepend=0)).tolist()
+    observed = dataset.observed
+    scales, variances, factors = _scale_recursion(dataset, config)
+    bad = observed & ~(np.isfinite(variances) & (variances > 0.0))
+    if bad.any():
+        raise FloatingPointError(
+            f"non-finite or non-positive innovation variance at step {int(np.argmax(bad)) + 1}"
+        )
 
-    states = np.empty((horizon, dim))
-    scales = np.empty(horizon)
-    predictions = np.empty(horizon)
-    innovations = np.full(horizon, np.nan)
-    loglik = 0.0
-
-    for t in range(horizon):
-        u = dataset.u[t]
-        prior = scale + drift[t]
-        predictions[t] = state @ u
-        if dataset.observed[t]:
-            weighted = prior * u
-            innovation_var = float(weighted @ u) + eta2
-            if not (np.isfinite(innovation_var) and innovation_var > 0.0):
-                raise FloatingPointError(
-                    f"non-finite or non-positive innovation variance at step {t + 1}"
-                )
-            residual = dataset.y[t] - predictions[t]
-            innovations[t] = residual
-            scale = (eta2 / innovation_var) * prior
-            # The gain (c_next / eta^2) u collapses to weighted / innovation_var.
-            state = state + (residual / innovation_var) * weighted
-            loglik -= 0.5 * (
-                math.log(2.0 * math.pi * innovation_var) + residual * residual / innovation_var
-            )
-        else:
-            scale = prior
-        states[t] = state
-        scales[t] = scale
+    # The state recursion with gain vectors k_t = (prior / s) u_t.  A missing
+    # step has k_t = 0, so its response is never read.
+    with np.errstate(over="ignore", invalid="ignore"):
+        states, predictions, residuals = _state_recursion(
+            dataset.u, np.where(observed, dataset.y, 0.0), factors[:, None] * dataset.u, state
+        )
+        s, r = variances[observed], residuals[observed]
+        loglik = -0.5 * float(np.sum(np.log(2.0 * math.pi * s) + r * r / s))
+    innovations = np.where(observed, residuals, np.nan)
 
     if not (np.all(np.isfinite(states)) and np.isfinite(loglik)):
         raise FloatingPointError("filter recursion produced non-finite values")
@@ -133,5 +124,76 @@ def run_filter(dataset: RegressionDataset, config: KalmanConfig) -> KalmanTrajec
         scales=scales,
         predictions=predictions,
         innovations=innovations,
-        loglik=float(loglik),
+        loglik=loglik,
     )
+
+
+def _scale_recursion(
+    dataset: RegressionDataset, config: KalmanConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scales, innovation variances, gain factors prior / s) per step, from a
+    loop over Python floats with the walk variance added before each row.
+    Missing steps propagate only; their variance reads 1 and their factor 0.
+    The memoryviews and arrays hold the per-step values as doubles, not as
+    float objects."""
+    eta2 = config.eta2
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("ij,ij->i", dataset.u, dataset.u)
+    drift = config.sigma2 * np.diff(dataset.time_index, prepend=0)
+    scale = config.c0_scale
+    scales, variances, factors = array("d"), array("d"), array("d")
+    for added, norm, seen in zip(memoryview(drift), memoryview(norms), memoryview(dataset.observed)):
+        prior = scale + added
+        if seen:
+            innovation_var = prior * norm + eta2
+            scale = (eta2 / innovation_var) * prior
+            variances.append(innovation_var)
+            factors.append(prior / innovation_var)
+        else:
+            scale = prior
+            variances.append(1.0)
+            factors.append(0.0)
+        scales.append(scale)
+    return np.frombuffer(scales), np.frombuffer(variances), np.frombuffer(factors)
+
+
+# Rows per triangular solve in `_state_recursion`.
+_BLOCK = 64
+
+
+def _state_recursion(
+    u: np.ndarray, y: np.ndarray, gains: np.ndarray, state: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(states, predictions, residuals) of x_t = x_{t-1} + k_t r_t with
+    r_t = y_t - <x_{t-1}, u_t>, for per-step gain vectors k_t (rows of gains),
+    from the state before the first row.
+
+    Within a block of rows entered with state x, the residuals solve
+    (I + L) r = y - U x with L = tril(U K^T, -1), one LAPACK call per block;
+    the predictions are U x + L r and the states x plus running sums of k_t r_t.
+    Reversing rows and columns makes the system upper triangular with a unit
+    diagonal, so partial pivoting swaps no rows and the solve is plain
+    substitution.
+    """
+    horizon, dim = u.shape
+    states = np.empty((horizon, dim))
+    predictions = np.empty(horizon)
+    residuals = np.empty(horizon)
+    steps = np.empty((_BLOCK + 1, dim))
+    for start in range(0, horizon, _BLOCK):
+        stop = min(start + _BLOCK, horizon)
+        size = stop - start
+        rows, block_gains = u[start:stop], gains[start:stop]
+        coupling = np.tril(rows @ block_gains.T, -1)
+        base = rows @ state
+        system = coupling[::-1, ::-1] + np.eye(size)
+        r = np.linalg.solve(system, (y[start:stop] - base)[::-1])[::-1]
+        residuals[start:stop] = r
+        predictions[start:stop] = base + coupling @ r
+        # The state, then one step per row, summed in row order.
+        steps[0] = state
+        np.multiply(block_gains, r[:, None], out=steps[1 : size + 1])
+        np.cumsum(steps[: size + 1], axis=0, out=steps[: size + 1])
+        states[start:stop] = steps[1 : size + 1]
+        state = states[stop - 1]
+    return states, predictions, residuals

@@ -26,6 +26,37 @@ def make_dataset(rng, T, n, missing=(), y=None, u=None):
     return RegressionDataset(u=u, y=y, observed=observed)
 
 
+def per_step_filter(dataset, config):
+    """The isotropic filter of `stve.kalman`, one update per step in Python:
+    the reference for the blocked state recursion.  Returns (states, scales,
+    predictions, innovations, loglik)."""
+    horizon, dim = dataset.horizon, dataset.dim
+    state = np.zeros(dim) if config.x0 is None else np.array(config.x0)
+    scale = config.c0_scale
+    drift = config.sigma2 * np.diff(dataset.time_index, prepend=0)
+    states = np.empty((horizon, dim))
+    scales = np.empty(horizon)
+    predictions = np.empty(horizon)
+    innovations = np.full(horizon, np.nan)
+    loglik = 0.0
+    for t in range(horizon):
+        u = dataset.u[t]
+        prior = scale + drift[t]
+        predictions[t] = state @ u
+        if dataset.observed[t]:
+            s = prior * float(u @ u) + config.eta2
+            residual = dataset.y[t] - predictions[t]
+            innovations[t] = residual
+            scale = (config.eta2 / s) * prior
+            state = state + (prior / s) * residual * u
+            loglik -= 0.5 * (math.log(2.0 * math.pi * s) + residual * residual / s)
+        else:
+            scale = prior
+        states[t] = state
+        scales[t] = scale
+    return states, scales, predictions, innovations, loglik
+
+
 def difference_spectrum(horizon):
     """Singular values of the (T-1) x T first-difference map, descending.
 

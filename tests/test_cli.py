@@ -158,6 +158,18 @@ def test_estimate_csv_format(tmp_path):
     row = dict(zip(header, rows[0]))
     assert float(row["sigma2"]) == pytest.approx(payload["sigma2"], abs=1e-15)
     assert float(row["eta2"]) == pytest.approx(payload["eta2"], abs=1e-15)
+    assert int(row["dropped_count"]) == payload["dropped_count"] == 0
+    assert payload["dropped"] == [] and "dropped" not in row
+
+
+def test_estimate_reports_dropped_rows(tmp_path):
+    dataset, _ = simulate(SimulationConfig(T=60, n=2, sigma2=1.0, eta2=1.0, seed=4, missing=(3, 17, 18)))
+    path = dataset_file(tmp_path, dataset)
+    _code, out, _err = run_cli(["estimate", "--input", path])
+    payload = json.loads(out)
+    assert payload["dropped_count"] == 3
+    assert payload["dropped"] == [3, 17, 18]
+    assert payload["effective_T"] == 57
 
 
 def test_estimate_reads_stdin(tmp_path):
@@ -183,7 +195,7 @@ def test_stdin_and_input_path_give_one_input_digest(tmp_path):
 # change to parsing, arithmetic or formatting that moves any byte shows here.
 PIPELINE_DIGESTS = {
     "simulate": "6fe116c7fe0f5c52d24467352f54fc000edc1a28b98d84ffb61740d80e9d683c",
-    "kalman": "2978a470b11edd314b2755e35c20610da58a092414dec3ae7a4f312b140f0719",
+    "kalman": "7f531eb7928cfa305e0fbff4abed6b31b73a01c732b3248ccc926c59679241e2",
     "og": "e59877a0a2327c2ee5fd51cf0b64ebec33b0e3cee2107f72244c952ab5690200",
     "stationary": "88f72cc03be5b55019f2253e9b8773fdcbfe45166f507e075cb7ce44882fd9a1",
     "spectrum": "987eaf4bc5731608ae8f5b4ffa35a44b541e767ae130e345e7cb78ade2d887bc",

@@ -1,4 +1,6 @@
 """CSV ingestion and serialization."""
+import csv
+import hashlib
 import io
 
 import numpy as np
@@ -10,6 +12,7 @@ from stve import (
     read_csv,
     write_csv,
 )
+import stve.dataio as dataio
 
 from conftest import make_dataset
 
@@ -210,3 +213,103 @@ def test_missing_rows_written_as_empty_cells(rng):
     row = buffer.getvalue().splitlines()[2]
     assert row.split(",")[1] == ""
 
+
+
+# ---------------------------------------------------------------------------
+# The np.loadtxt blocks against the csv.reader walk
+
+# Every seventh response blank.
+LONG = HEADER + "".join(f"{k},{'' if k % 7 == 0 else k / 3},{k / 10},-{k}e-3\n" for k in range(1, 2500))
+# A quoted cell opened on the last line of the first block of 1024 lines and
+# closed on the first line of the next.
+ACROSS = (
+    HEADER + "".join(f"{k},1.0,0.1,0.2\n" for k in range(1, 1024)) + '1024,"1.5\n",0.1,0.2\n1025,1.0,0.1,0.2\n'
+)
+
+# (name, text, whether every block is plain enough for np.loadtxt)
+VALID_CORPUS = [
+    ("comments between rows", HEADER + "1,1.5,0.1,0.2\n# note\n\n2,2.5,0.3,0.4\n  # x\n3,,0.5,0.6\n", True),
+    ("crlf line endings", "t,y,u_1,u_2\r\n1,1.5,0.1,0.2\r\n2,,0.3,0.4\r\n3,-1e-5,0.5,0.6\r\n", True),
+    ("quoted cells", HEADER + '1,"1.5",0.1,0.2\n2,2.5,"0.3",0.4\n3,3.5,0.5,0.6\n', False),
+    ("padded blank y", HEADER + "1,1.5,0.1,0.2\n2,   ,0.3,0.4\n3,3.5,0.5,0.6\n", False),
+    ("nan in y", HEADER + "1,1.5,0.1,0.2\n2,NaN,0.3,0.4\n3, nan ,0.5,0.6\n4,4.5, 0.7 ,0.8\n", True),
+    ("no t column", "y,u_1,u_2\n1.5,0.1,0.2\n,0.3,0.4\nnan,0.5,0.6\n3.5,0.7,0.8\n", True),
+    ("last line unterminated", HEADER + "1,1.5,0.1,0.2\n2,2.5,0.3,0.4", True),
+    ("more than one block", LONG, True),
+    ("quoted cell across a block edge", ACROSS, False),
+]
+
+
+@pytest.fixture
+def refusals(monkeypatch):
+    """One entry per block read: True where the np.loadtxt path refused it."""
+    refused = []
+    load_chunk = dataio._load_block
+
+    def spy(*args):
+        part = load_chunk(*args)
+        refused.append(part is None)
+        return part
+
+    monkeypatch.setattr(dataio, "_load_block", spy)
+    return refused
+
+
+def read_walked(lines):
+    # The csv.reader walk alone.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_load_block", lambda *args: None)
+        return read_csv(lines)
+
+
+@pytest.mark.parametrize("name, text, plain", VALID_CORPUS, ids=[case[0] for case in VALID_CORPUS])
+def test_loadtxt_blocks_equal_the_walk_bit_for_bit(refusals, name, text, plain):
+    lines = io.StringIO(text, newline="").readlines()
+    fast = read_csv(lines)
+    assert refusals and any(refusals) != plain
+    walked = read_walked(lines)
+    for field in ("u", "y", "observed", "time_index"):
+        assert getattr(fast, field).dtype == getattr(walked, field).dtype
+        assert getattr(fast, field).tobytes() == getattr(walked, field).tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (HEADER + "1,1.0,0.1,0.2\n2,1.0#x,0.1,0.2\n", "line 3: cannot parse y value '1.0#x'"),
+        (HEADER + "1,1.0,0.1,0.2\n2,-nan,0.1,0.2\n", "line 3: y value '-nan' is not finite"),
+        (HEADER + "1,1.0,0.1,0.2\n2,inf,0.1,0.2\n", "line 3: y value 'inf' is not finite"),
+        (HEADER + "1,1.0,0.1,0.2\n2,1.0,0.1,0.2,\n", "line 3: expected 4 cells, got 5"),
+        (HEADER + "1,1.0,0.1,0.2\n2.0,1.0,0.1,0.2\n", "line 3: cannot parse t value '2.0'"),
+        (HEADER + "".join(f"{k},1.0,0.1,0.2\n" for k in range(1, 1200)) + "1200,1.0,0.1,zz\n",
+         "line 1201: cannot parse u_2 value 'zz'"),
+        (ACROSS + "1026,1.0,bad,0.2\n", "line 1028: cannot parse u_1 value 'bad'"),
+    ],
+    ids=["inline hash", "-nan y", "inf y", "trailing comma", "t 2.0", "second block", "after a quoted cell"],
+)
+def test_refused_blocks_report_the_walks_error(refusals, text, message):
+    with pytest.raises(CsvFormatError) as info:
+        read_text(text)
+    assert str(info.value) == message
+    assert refusals[-1]
+
+
+def test_underscored_number_is_refused_then_read_by_the_walk(refusals):
+    dataset = read_text(HEADER + "1,1.0,0.1,0.2\n2,1_0,0.1,0.2\n")
+    assert refusals == [True]
+    assert dataset.y.tolist() == [1.0, 10.0]
+
+
+def test_cell_past_the_csv_field_limit_is_left_to_csv_reader():
+    # np.loadtxt would parse this cell; csv.reader refuses it.
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        read_text(HEADER + "1,1.0,0.1,0.2\n2,1.0,0.1,0." + "0" * 200_000 + "1\n")
+
+
+def test_digest_covers_every_line_read(tmp_path):
+    data = ("# manifest\n" + LONG).encode()
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    digest = hashlib.sha256()
+    read_csv(str(path), digest=digest)
+    assert digest.hexdigest() == hashlib.sha256(data).hexdigest()

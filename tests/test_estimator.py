@@ -128,6 +128,8 @@ class TestEstimate:
         ds = make_dataset(rng, 40, 2, missing=(5, 6, 7))
         result = estimate(ds)
         assert result.effective_T == 37
+        assert result.dropped.tolist() == [5, 6, 7]
+        assert not result.dropped.flags.writeable
 
     def test_eta_clamp_branch(self):
         # true eta2 = 0 makes a negative raw eta2 likely at short horizons

@@ -5,7 +5,7 @@ import pytest
 
 from stve import KalmanConfig, RegressionDataset, run_filter
 
-from conftest import dense_system_matrix, make_dataset
+from conftest import dense_system_matrix, make_dataset, per_step_filter
 
 
 def scalar_oracle(y, u, observed, sigma2, eta2, x0, c0):
@@ -228,3 +228,30 @@ class TestPredictNext:
         for t in range(1, 15):
             replay = float(trajectory.states[t - 1] @ ds.u[t])
             assert replay == pytest.approx(trajectory.predictions[t], rel=1e-12, abs=1e-12)
+
+
+class TestBlockedRecursion:
+    # T = 300 spans four full blocks of 64 rows and a short last one.
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("c0_scale", [1e-14, 1e4])
+    def test_matches_per_step_reference(self, rng, n, c0_scale):
+        T = 300
+        labels = np.cumsum(rng.integers(1, 4, size=T))
+        observed = rng.uniform(size=T) > 0.15
+        observed[[0, 63, 64, 65, 127, 128, 299]] = False
+        ds = RegressionDataset(
+            u=rng.normal(size=(T, n)), y=rng.normal(size=T) * 3.0, observed=observed, time_index=labels
+        )
+        config = KalmanConfig(sigma2=0.4, eta2=1.3, c0_scale=c0_scale)
+        trajectory = run_filter(ds, config)
+        states, scales, predictions, innovations, loglik = per_step_filter(ds, config)
+
+        def rel(a, b):
+            return np.nanmax(np.abs(a - b)) / np.nanmax(np.abs(b))
+
+        assert np.array_equal(np.isnan(trajectory.innovations), ~observed)
+        assert rel(trajectory.predictions, predictions) <= 1e-12
+        assert rel(trajectory.innovations, innovations) <= 1e-12
+        assert rel(trajectory.scales, scales) <= 1e-12
+        assert rel(trajectory.states, states) <= 1e-12
+        assert abs(trajectory.loglik - loglik) <= 1e-12 * abs(loglik)
