@@ -14,6 +14,7 @@ evaluation."""
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,30 +47,33 @@ def online_gradient_run(dataset: RegressionDataset, rate: float) -> OnlineGradie
     """x <- x + rate * u * (y - <x, u>) from x = 0, at observed steps; missing
     steps predict but do not update.  sse sums squared prediction errors over
     observed steps.  Raises ValueError unless rate is a finite non-negative
-    scalar, and RuntimeError if the state norm exceeds 1e12."""
+    scalar.  Divergence is checked once, after the pass: if any state norm
+    exceeds 1e12, RuntimeError names the first step where it does."""
     if np.ndim(rate) != 0:
         raise ValueError("learning rate must be a scalar")
     rate = float(rate)
     if not (math.isfinite(rate) and rate >= 0.0):
         raise ValueError("learning rate must be finite and non-negative")
-    horizon, dim = dataset.horizon, dataset.dim
-    state = np.zeros(dim)
-    states = np.empty((horizon, dim))
-    predictions = np.empty(horizon)
+    state = np.zeros(dataset.dim)
+    states = np.empty((dataset.horizon, dataset.dim))
+    predictions = array("d")
     sse = 0.0
-    limit = DIVERGENCE_LIMIT * DIVERGENCE_LIMIT
-    # Row views and Python scalars, produced as the loop goes.
+    # Row views and Python scalars, produced as the loop goes.  A diverging
+    # state may overflow before the check after the loop.
     rows = zip(dataset.u, memoryview(dataset.y), memoryview(dataset.observed))
-    for t, (u, y, seen) in enumerate(rows):
-        pred = float(state @ u)
-        predictions[t] = pred
-        if seen:
-            err = y - pred
-            sse += err * err
-            state = state + rate * err * u
-            if float(state @ state) > limit:
-                raise RuntimeError(f"online gradient diverged at step {t + 1}")
-        states[t] = state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, (u, y, seen) in enumerate(rows):
+            pred = float(state @ u)
+            predictions.append(pred)
+            if seen:
+                err = y - pred
+                sse += err * err
+                state = state + rate * err * u
+            states[t] = state
+        over = np.einsum("ij,ij->i", states, states) > DIVERGENCE_LIMIT * DIVERGENCE_LIMIT
+    if over.any():
+        raise RuntimeError(f"online gradient diverged at step {int(np.argmax(over)) + 1}")
+    predictions = np.frombuffer(predictions)
     states.setflags(write=False)
     predictions.setflags(write=False)
     return OnlineGradientRun(states=states, predictions=predictions, sse=float(sse))
@@ -111,25 +115,41 @@ def _scan_and_zoom(values, grid: np.ndarray, tol: float) -> tuple[float, float, 
             best_x, best_f = points[k], vals[k]
 
 
+# Rows of errors and state norms that `_scan_sse` holds before it folds them
+# into the sums, so its memory is bounded by this many rows times the rates.
+_SCAN_CHUNK = 1024
+
+
 def _scan_sse(dataset: RegressionDataset, rates: np.ndarray) -> np.ndarray:
     # online_gradient_run's sse at every rate in one pass over the observed
-    # rows, one state per rate; a rate whose state norm exceeds the
-    # divergence limit reads inf and stops updating.
+    # rows, one state per rate.  A rate whose state norm exceeds the
+    # divergence limit at some step reads inf; its state keeps updating and
+    # may overflow, which no other rate's arithmetic sees.
     u = dataset.u[dataset.observed]
     y = dataset.y[dataset.observed]
-    states = np.zeros((rates.shape[0], dataset.dim))
-    gains = np.array(rates, dtype=np.float64)
-    sse = np.zeros(rates.shape[0])
-    diverged = np.zeros(rates.shape[0], dtype=bool)
+    count = rates.shape[0]
+    states = np.zeros((count, dataset.dim))
+    gains = np.asarray(rates, dtype=np.float64)
+    diverged = np.zeros(count, dtype=bool)
+    # Row 0 carries the running sse, rows 1.. a chunk's errors, squared in
+    # place.  Running sums along axis 0 add them in row order, so the sse is
+    # bit for bit the per-step sse += err * err.
+    chunk = min(_SCAN_CHUNK, len(y))
+    errors = np.zeros((chunk + 1, count))
+    norms = np.empty((chunk, count))
     with np.errstate(over="ignore", invalid="ignore"):
-        for u_t, y_t in zip(u, y):
-            err = y_t - states @ u_t
-            sse += err * err
-            states += np.multiply.outer(gains * err, u_t)
-            over = np.einsum("ij,ij->i", states, states) > DIVERGENCE_LIMIT * DIVERGENCE_LIMIT
-            if over.any():
-                diverged |= over
-                gains[over] = 0.0
+        for start in range(0, len(y), chunk):
+            size = min(chunk, len(y) - start)
+            for k, (u_t, y_t) in enumerate(zip(u[start : start + size], y[start : start + size])):
+                err = np.subtract(y_t, states @ u_t, out=errors[k + 1])
+                states += np.multiply.outer(gains * err, u_t)
+                np.einsum("ij,ij->i", states, states, out=norms[k])
+            block = errors[: size + 1]
+            np.multiply(block[1:], block[1:], out=block[1:])
+            np.cumsum(block, axis=0, out=block)
+            errors[0] = block[-1]
+            diverged |= (norms[:size] > DIVERGENCE_LIMIT * DIVERGENCE_LIMIT).any(axis=0)
+    sse = errors[0].copy()
     sse[diverged] = math.inf
     return sse
 

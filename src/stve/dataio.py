@@ -1,7 +1,8 @@
 """CSV input/output.
 
 CSV schema: header row, comma-delimited, UTF-8.  Columns are an optional
-integer index column "t" (strictly increasing, 1-based), the response column
+integer index column "t" (strictly increasing, 1-based, at most 2**63 - 1,
+so that it fits int64), the response column
 "y", then feature columns "u_1" ... "u_n" in order.  An empty y cell (or the
 token "nan", any case) marks a missing response; every u cell is required.
 Any other non-finite value (inf, or nan in a u cell) is malformed input.
@@ -15,7 +16,9 @@ integer t >= 1, finite u, and a non-finite y only from a blank or nan cell.
 Any block that fails one of these, or holds a quote, a line break inside a
 line or an over-long line, is walked again through `csv.reader` row by row,
 which reports the first bad row with its physical line number (a quoted cell
-may span lines, even past the end of the block).  The writer formats a block
+may span lines, even past the end of the block).  An error of the csv module
+itself, such as a cell over its field limit, is a CsvFormatError with the
+physical line as well, in the header as in the data.  The writer formats a block
 of each column at once with `repr`, so floats round-trip exactly.
 """
 from __future__ import annotations
@@ -74,6 +77,8 @@ _BLOCK = 1024
 _BLANK = frozenset(("", "\n", "\r\n"))
 # Width of the text field a y cell is read into.
 _Y_WIDTH = 32
+# Largest t label: time labels are stored as int64.
+_T_MAX = np.iinfo(np.int64).max
 
 
 def _is_comment(record: list[str]) -> bool:
@@ -90,12 +95,15 @@ def _read_csv(source: Iterable[str], digest) -> RegressionDataset:
             yield line
 
     header = csv.reader(fed(lines))
-    for record in header:
-        if record and not _is_comment(record):
-            has_t, dim = _parse_header(record, header.line_num)
-            break
-    else:
-        raise CsvFormatError("empty input, no header row")
+    try:
+        for record in header:
+            if record and not _is_comment(record):
+                has_t, dim = _parse_header(record, header.line_num)
+                break
+        else:
+            raise CsvFormatError("empty input, no header row")
+    except csv.Error as exc:
+        raise CsvFormatError(str(exc), header.line_num) from None
 
     def walk(block: list[str], before: int, prev_t: int, error: UnicodeError | None) -> tuple[tuple, int]:
         # The reference parse: csv.reader over the block, then _parse_rows.  A
@@ -117,10 +125,12 @@ def _read_csv(source: Iterable[str], digest) -> RegressionDataset:
                     numbers.append(before + reader.line_num)
                 if reader.line_num >= len(block):
                     break
-        except (csv.Error, UnicodeError):
+        except (csv.Error, UnicodeError) as exc:
             # A bad row read before the unreadable line is reported first.
             _parse_rows(records, numbers, has_t, dim, prev_t)
-            raise
+            if isinstance(exc, UnicodeError):
+                raise
+            raise CsvFormatError(str(exc), before + reader.line_num) from None
         return _parse_rows(records, numbers, has_t, dim, prev_t), reader.line_num
 
     parts: list[tuple] = []
@@ -231,6 +241,8 @@ def _parse_rows(records: list[list[str]], lines: list[int], has_t: bool, dim: in
                 t_val = int(cells[0])
             except ValueError:
                 raise CsvFormatError(f"cannot parse t value {cells[0]!r}", line) from None
+            if t_val > _T_MAX:
+                raise CsvFormatError(f"t value {cells[0]!r} is larger than 2**63 - 1", line)
             if t_val < 1 or t_val <= (times[-1] if times else prev_t):
                 raise CsvFormatError("t values must be 1-based and strictly increasing", line)
             times.append(t_val)

@@ -157,8 +157,13 @@ def _scale_recursion(
     return np.frombuffer(scales), np.frombuffer(variances), np.frombuffer(factors)
 
 
-# Rows per triangular solve in `_state_recursion`.
+# Rows per triangular solve in `_state_recursion`, and the block's
+# strict-lower mask and identity, sliced for a shorter last block.
 _BLOCK = 64
+_STRICT_LOWER = np.tri(_BLOCK, k=-1, dtype=bool)
+_IDENTITY = np.eye(_BLOCK)
+_STRICT_LOWER.setflags(write=False)
+_IDENTITY.setflags(write=False)
 
 
 def _state_recursion(
@@ -184,9 +189,9 @@ def _state_recursion(
         stop = min(start + _BLOCK, horizon)
         size = stop - start
         rows, block_gains = u[start:stop], gains[start:stop]
-        coupling = np.tril(rows @ block_gains.T, -1)
+        coupling = np.where(_STRICT_LOWER[:size, :size], rows @ block_gains.T, 0.0)
         base = rows @ state
-        system = coupling[::-1, ::-1] + np.eye(size)
+        system = coupling[::-1, ::-1] + _IDENTITY[:size, :size]
         r = np.linalg.solve(system, (y[start:stop] - base)[::-1])[::-1]
         residuals[start:stop] = r
         predictions[start:stop] = base + coupling @ r

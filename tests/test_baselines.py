@@ -1,5 +1,7 @@
 """Online-gradient forecaster, learning-rate tuner, stationary least squares,
 and the exact Gaussian maximum-likelihood fit of the two noise variances."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,8 @@ def test_divergence_raises(rng):
     # rate 2.5 on u = y = 1 iterates x <- 2.5 - 1.5 x, growing by 1.5 per step.
     T = 80
     dataset = make_dataset(rng, T=T, n=1, y=np.ones(T), u=np.ones((T, 1)))
-    with pytest.raises(RuntimeError, match="diverged"):
+    # The state is 1 - (-1.5)^t, so its square first exceeds 1e24 at t = 69.
+    with pytest.raises(RuntimeError, match="diverged at step 69$"):
         online_gradient_run(dataset, 2.5)
 
 
@@ -169,10 +172,41 @@ def test_scan_matches_single_rate_runs(n, scale):
             expected = np.inf
         if np.isinf(expected):
             assert np.isinf(value)
+        elif n == 1:
+            # One feature: the scan does the run's arithmetic exactly.
+            assert value == expected
         else:
             assert value == pytest.approx(expected, rel=1e-12)
     assert np.isfinite(scan).sum() >= 10
     assert np.isinf(scan).sum() >= 10
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_scan_chunks_do_not_change_a_bit(monkeypatch, chunk):
+    # The scan folds its errors and state norms into the sums a chunk of rows
+    # at a time; the sse and the diverged rates must not depend on where the
+    # chunks end.  195 observed rows: one chunk by default.
+    rng = np.random.default_rng(45)
+    dataset = make_dataset(rng, T=200, n=5, missing=(1, 3, 50, 51, 200), u=rng.normal(size=(200, 5)))
+    rates = np.linspace(0.0, 2.0, 101)
+    whole = baselines._scan_sse(dataset, rates)
+    monkeypatch.setattr(baselines, "_SCAN_CHUNK", chunk)
+    chunked = baselines._scan_sse(dataset, rates)
+    assert chunked.tobytes() == whole.tobytes()
+    assert np.isinf(whole).sum() >= 10
+
+
+def test_scan_memory_is_bounded_by_the_chunk():
+    # 20000 rows at 101 rates: one buffer of rows x rates would take 16 MB.
+    rng = np.random.default_rng(46)
+    dataset = make_dataset(rng, T=20_000, n=2, u=0.1 * rng.normal(size=(20_000, 2)))
+    tracemalloc.start()
+    try:
+        baselines._scan_sse(dataset, np.linspace(0.0, 2.0, 101))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,14 @@ def _oom(_dataset):
         # rounding error of the others (about 1e-14), which here comes out negative
         (["spectrum", "--min-row-norm", "0"], "2,0.2,1e-100,0.0", None, 2, "numerically singular"),
         (["estimate", "--min-row-norm", "0"], "2,0.2,1e-100,0.0", None, 2, "numerically singular"),
+        pytest.param(
+            ["estimate"], "2,0.2,1.0,-0." + "0" * 200_000 + "1", None, 1, "line 3: field larger than field limit",
+            id="field-limit",
+        ),
+        pytest.param(
+            ["estimate"], "99999999999999999999,0.2,1.0,-1.0", None, 1, "line 3: t value '99999999999999999999'",
+            id="t-beyond-int64",
+        ),
     ],
 )
 def test_failure_exit_codes(tmp_path, monkeypatch, argv, line_3, patch, code, message):
@@ -297,6 +305,7 @@ def test_failure_exit_codes(tmp_path, monkeypatch, argv, line_3, patch, code, me
     assert out == ""
     assert message in err
     assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 NON_UTF8_CSV = b"t,y,u_1\n1,1.0,0.1\n2,\xff,0.2\n"

@@ -1,5 +1,4 @@
 """CSV ingestion and serialization."""
-import csv
 import hashlib
 import io
 
@@ -146,9 +145,12 @@ def test_bad_row_reported_before_a_later_undecodable_byte(tmp_path):
         read_csv(str(path))
 
 
-def test_t_beyond_int64_overflows_after_parsing():
-    with pytest.raises(OverflowError):
+def test_t_beyond_int64_is_a_format_error():
+    with pytest.raises(CsvFormatError, match=r"^line 3: t value '99999999999999999999' is larger than 2\*\*63 - 1$"):
         read_text(HEADER + "1,1.0,0.1,0.2\n99999999999999999999,1.0,0.1,0.2\n")
+    with pytest.raises(CsvFormatError, match=r"^line 3: t value '9223372036854775808'"):
+        read_text(HEADER + "1,1.0,0.1,0.2\n9223372036854775808,1.0,0.1,0.2\n")
+    assert read_text(HEADER + "1,1.0,0.1,0.2\n9223372036854775807,1.0,0.1,0.2\n").time_index[-1] == 2**63 - 1
 
 
 def test_long_input_matches_round_trip(rng):
@@ -300,10 +302,16 @@ def test_underscored_number_is_refused_then_read_by_the_walk(refusals):
     assert dataset.y.tolist() == [1.0, 10.0]
 
 
-def test_cell_past_the_csv_field_limit_is_left_to_csv_reader():
-    # np.loadtxt would parse this cell; csv.reader refuses it.
-    with pytest.raises(csv.Error, match="field larger than field limit"):
+def test_cell_past_the_csv_field_limit_is_a_format_error():
+    # np.loadtxt would parse this cell; csv.reader refuses it, and its error
+    # is reported with the line.
+    with pytest.raises(CsvFormatError, match=r"^line 3: field larger than field limit \(\d+\)$"):
         read_text(HEADER + "1,1.0,0.1,0.2\n2,1.0,0.1,0." + "0" * 200_000 + "1\n")
+
+
+def test_header_past_the_csv_field_limit_is_a_format_error():
+    with pytest.raises(CsvFormatError, match=r"^line 2: field larger than field limit"):
+        read_text("# manifest\nt,y,u_" + "1" * 200_000 + "\n1,1.0,0.1\n")
 
 
 def test_digest_covers_every_line_read(tmp_path):
