@@ -25,13 +25,11 @@ import numpy as np
 from . import __version__
 from .baselines import mle_fit, online_gradient_run, stationary_regression, tune_learning_rate
 from .dataio import CsvFormatError, read_csv, write_columns, write_csv
-from .estimator import StveConfig, estimate, spectral_system
+from .estimator import StveConfig, estimate
 from .kalman import KalmanConfig, run_filter
-# Not called here: perfbench's tracer wraps stve.cli.filter_rows, gram_matrix, eigendecompose.
-from .operators import filter_rows, gram_matrix  # noqa: F401
-from .operators import select_rows
+from .operators import filter_rows, gram_matrix, select_rows
 from .simulator import NOISE_FAMILIES, SimulationConfig, benchmark_table, simulate as run_simulation
-from .spectral import eigendecompose  # noqa: F401
+from .spectral import eigendecompose
 
 __all__ = ["main"]
 
@@ -134,12 +132,7 @@ def _log_duration(subcommand: str, started: float) -> None:
 
 def _cmd_estimate(args) -> int:
     started = time.perf_counter()
-    config = _checked(
-        StveConfig,
-        alpha=args.alpha,
-        min_row_norm=args.min_row_norm,
-        gap_warn_threshold=args.gap_warn,
-    )
+    config = _checked(StveConfig, alpha=args.alpha, min_row_norm=args.min_row_norm)
     dataset, digest = _load_dataset(args.input)
     result = estimate(dataset, config)
     manifest = _manifest(
@@ -148,7 +141,6 @@ def _cmd_estimate(args) -> int:
             "input": args.input,
             "alpha": args.alpha,
             "min_row_norm": args.min_row_norm,
-            "gap_warn_threshold": args.gap_warn,
             "format": args.format,
         },
         input_digest=digest,
@@ -403,7 +395,10 @@ def _cmd_filter(args) -> int:
     cut = int(math.floor(args.train_fraction * dataset.horizon))
     if not (0 < cut < dataset.horizon):
         raise _UsageError("--train-fraction leaves an empty split")
-    train = select_rows(dataset, np.arange(cut))
+    if args.baseline != "kalman" or args.auto:  # the baseline fits on the train split
+        if int(dataset.observed[:cut].sum()) < 2:
+            raise _UsageError("--train-fraction leaves fewer than 2 observed rows in the train split")
+        train = select_rows(dataset, np.arange(cut))
 
     resolved: dict = {
         "input": args.input,
@@ -461,7 +456,9 @@ def _cmd_spectrum(args) -> int:
     started = time.perf_counter()
     config = _checked(StveConfig, min_row_norm=args.min_row_norm)
     dataset, digest = _load_dataset(args.input)
-    _filtered, _dropped, spectrum = spectral_system(dataset, config.min_row_norm, vectors=False)
+    # Eigenvalues only: no other consumer reads this dataset, so nothing is cached.
+    filtered, _dropped = filter_rows(dataset, config.min_row_norm)
+    spectrum = eigendecompose(gram_matrix(filtered), vectors=False)
     order = spectrum.order
     gamma_sq = spectrum.eigenvalues
     chi_sq = (1.0 / gamma_sq)[::-1]  # descending pseudo-inverse spectrum
@@ -493,7 +490,6 @@ def _build_parser() -> _Parser:
     p_est.add_argument("--input", required=True, help="dataset CSV path")
     p_est.add_argument("--alpha", type=float, default=0.25, help="truncation fraction (default 0.25)")
     p_est.add_argument("--min-row-norm", type=float, default=1e-8, dest="min_row_norm")
-    p_est.add_argument("--gap-warn", type=float, default=0.05, dest="gap_warn")
     p_est.add_argument("--format", choices=["json", "csv"], default="json")
     p_est.set_defaults(handler=_cmd_estimate)
 

@@ -41,6 +41,9 @@ __all__ = [
 # and the 2x2 system has no solution.
 FLAT_SPECTRUM_TOL = 1e-12
 
+# A gap ratio below 1 + this adds a stability warning to the estimate.
+GAP_WARN_THRESHOLD = 0.05
+
 
 class FlatSpectrumError(RuntimeError):
     """The spectrum has no decay, so the two moment identities coincide."""
@@ -53,21 +56,17 @@ class StveConfig:
     alpha sets the truncation size p = ceil(alpha * T') and min_rows, the
     fewest filtered rows `estimate` accepts, max(4, ceil(1/alpha)).
     min_row_norm is the row-filter threshold; rows at or below it are dropped
-    before anything is computed.  gap_warn_threshold triggers a stability
-    warning when the gap ratio falls below 1 + threshold.
+    before anything is computed.
     """
 
     alpha: float = 0.25
     min_row_norm: float = DEFAULT_MIN_ROW_NORM
-    gap_warn_threshold: float = 0.05
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must be in (0, 1]")
         if not (np.isfinite(self.min_row_norm) and self.min_row_norm >= 0.0):
             raise ValueError("min_row_norm must be finite and non-negative")
-        if not (np.isfinite(self.gap_warn_threshold) and self.gap_warn_threshold >= 0.0):
-            raise ValueError("gap_warn_threshold must be finite and non-negative")
 
     @property
     def min_rows(self) -> int:
@@ -115,25 +114,19 @@ def spectral_system(
     dataset: RegressionDataset,
     min_row_norm: float = DEFAULT_MIN_ROW_NORM,
     min_rows: int = 2,
-    vectors: bool = True,
 ) -> tuple[RegressionDataset, np.ndarray, GramSpectrum]:
-    """(filtered dataset, dropped time labels, Gram spectrum), computed once
-    per (dataset, min_row_norm) and shared by every caller; its arrays are
-    read-only.  Raises ValueError when fewer than min_rows rows survive
-    filtering, before any eigendecomposition.
-
-    vectors=False asks for eigenvalues only: a cached spectrum of either kind
-    serves it, and a miss computes and caches a values-only spectrum.  A
-    caller that needs vectors never gets a values-only spectrum; it gets a
-    full decomposition, which replaces the cached one.
+    """(filtered dataset, dropped time labels, Gram spectrum with
+    eigenvectors), computed once per (dataset, min_row_norm) and shared by
+    every caller; its arrays are read-only.  Raises ValueError when fewer
+    than min_rows rows survive filtering, before any eigendecomposition.
     """
     system = _SYSTEMS.get(dataset, {}).get(min_row_norm)
     filtered, dropped = system[:2] if system is not None else filter_rows(dataset, min_row_norm)
     if filtered.horizon < min_rows:
         raise ValueError(f"need at least {min_rows} rows after filtering, have {filtered.horizon}")
-    if system is None or (vectors and system[2].vectors is None):
+    if system is None:
         dropped.setflags(write=False)
-        system = (filtered, dropped, eigendecompose(gram_matrix(filtered), vectors=vectors))
+        system = (filtered, dropped, eigendecompose(gram_matrix(filtered)))
         _SYSTEMS.setdefault(dataset, {})[min_row_norm] = system
     return system
 
@@ -183,9 +176,9 @@ def estimate(dataset: RegressionDataset, config: StveConfig | None = None) -> St
         sigma2 = 0.0
         eta2 = pinv_y_sq / funcs.pinv_hs_sq
         warnings.append("negative raw sigma2 clamped to 0; eta2 re-solved")
-    if funcs.gap_ratio < 1.0 + config.gap_warn_threshold:
+    if funcs.gap_ratio < 1.0 + GAP_WARN_THRESHOLD:
         warnings.append(
-            f"gap ratio {funcs.gap_ratio:.6f} below 1 + {config.gap_warn_threshold}; "
+            f"gap ratio {funcs.gap_ratio:.6f} below 1 + {GAP_WARN_THRESHOLD}; "
             "estimates may be unstable"
         )
 

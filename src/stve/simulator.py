@@ -72,8 +72,9 @@ class SimulationConfig:
 
     u_kind selects the observation-vector process: "gaussian" (iid standard
     normal rows), "constant" (u_constant repeated) or "array" (u_matrix
-    passed through).  missing lists 1-based time indices whose
-    responses are masked.  seed is a non-negative integer.
+    passed through).  missing lists distinct 1-based time indices whose
+    responses are masked; at least 2 rows stay observed.  seed is a
+    non-negative integer.
     """
 
     T: int
@@ -119,6 +120,8 @@ class SimulationConfig:
             raise ValueError("missing indices must lie in [1, T]")
         if len(set(missing)) != len(missing):
             raise ValueError("missing indices must be distinct")
+        if self.T - len(missing) < 2:
+            raise ValueError("missing indices must leave at least 2 observed rows")
         object.__setattr__(self, "missing", missing)
 
 

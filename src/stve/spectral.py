@@ -93,8 +93,10 @@ def eigendecompose(gram: np.ndarray, vectors: bool = True) -> GramSpectrum:
     With vectors=False only the eigenvalues are computed (np.linalg.eigvalsh)
     and the returned spectrum's vectors is None; the checks are the same.
     Raises ValueError if the input is not finite, not symmetric to 1e-10
-    (relative to the largest entry), or has an eigenvalue <= 0, which signals
-    a zero-norm or duplicate row that should have been filtered out.
+    (relative to the largest entry), or numerically singular: its smallest
+    eigenvalue is at most eps times its largest, where rounding error alone
+    could account for it.  That signals a zero-norm, negligible or duplicate
+    row that should have been filtered out.
     Solver non-convergence propagates as numpy.linalg.LinAlgError.
     """
     g = np.asarray(gram, dtype=np.float64)
@@ -110,7 +112,7 @@ def eigendecompose(gram: np.ndarray, vectors: bool = True) -> GramSpectrum:
         values, basis = np.linalg.eigh(g)
     else:
         values, basis = np.linalg.eigvalsh(g), None
-    if values[0] <= 0.0:
+    if values[0] <= np.finfo(np.float64).eps * values[-1]:
         raise ValueError(
             "gram matrix is numerically singular; a zero-norm or duplicate row "
             "may have slipped through row filtering"

@@ -269,11 +269,13 @@ def _oom(_dataset):
         (["filter", "--baseline", "stationary"], "2,0.2,1.0,nan", None, 1, "line 3: u_2 value 'nan'"),
         (["filter", "--baseline", "stationary"], "2,0.2,inf,-1.0", None, 1, "line 3: u_1 value 'inf'"),
         (["estimate"], None, "stve.estimator.gram_matrix", 2, "out of memory"),
-        (["spectrum"], None, "stve.estimator.gram_matrix", 2, "out of memory"),
+        (["spectrum"], None, "stve.cli.gram_matrix", 2, "out of memory"),
         (["estimate", "--alpha", "0"], None, None, 3, "alpha must be in (0, 1]"),
         (["estimate", "--alpha", "1.5"], None, None, 3, "alpha must be in (0, 1]"),
         (["estimate", "--min-row-norm", "-1"], None, None, 3, "min_row_norm"),
-        (["estimate", "--gap-warn", "-1"], None, None, 3, "gap_warn_threshold"),
+        # a row of norm 2e-8 survives the row filter, and its eigenvalue (0.11
+        # eps times the largest) is rounding noise that comes out positive
+        (["estimate"], "2,0.2,2e-08,0.0", None, 2, "numerically singular"),
         (["spectrum", "--min-row-norm", "-1"], None, None, 3, "min_row_norm"),
         (["filter", "--baseline", "stationary", "--window", "0"], None, None, 3, "--window"),
         (["filter", "--auto", "--alpha", "0"], None, None, 3, "alpha must be in (0, 1]"),
@@ -282,6 +284,11 @@ def _oom(_dataset):
         # rounding error of the others (about 1e-14), which here comes out negative
         (["spectrum", "--min-row-norm", "0"], "2,0.2,1e-100,0.0", None, 2, "numerically singular"),
         (["estimate", "--min-row-norm", "0"], "2,0.2,1e-100,0.0", None, 2, "numerically singular"),
+        (["spectrum"], "2,0.2,2e-08,0.0", None, 2, "numerically singular"),
+        # eigvalsh resolves the smallest eigenvalue of this graded matrix to
+        # 1.5e-9 eps times the largest, eigh to a negative number: both refuse it
+        (["estimate"], "2,0.2,1e12,0.0", None, 2, "numerically singular"),
+        (["spectrum"], "2,0.2,1e12,0.0", None, 2, "numerically singular"),
         pytest.param(
             ["estimate"], "2,0.2,1.0,-0." + "0" * 200_000 + "1", None, 1, "line 3: field larger than field limit",
             id="field-limit",
@@ -353,6 +360,7 @@ def test_flat_spectrum_exits_2(tmp_path):
         ["spectrum", "--input", "absent.csv", "--min-row-norm", "-1"],
         ["filter", "--input", "absent.csv", "--baseline", "og", "--window", "0"],
         ["simulate", "--T", "10", "--n", "1", "--sigma2", "1", "--eta2", "1", "--seed", "-1"],
+        ["simulate", "--T", "10", "--n", "2", "--sigma2", "0.5", "--eta2", "2", "--missing", "1:9"],
     ],
 )
 def test_argument_errors_exit_3(argv):
@@ -716,6 +724,29 @@ def test_filter_bad_train_fraction_exits_3(tmp_path, rng):
         ["filter", "--input", path, "--baseline", "stationary", "--train-fraction", "1.5"]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "baseline, code",
+    [
+        (["kalman", "--sigma2", "0.5", "--eta2", "1.0"], 0),  # fits nothing on the split
+        (["kalman", "--auto"], 3),
+        (["og"], 3),
+        (["stationary"], 3),
+    ],
+)
+def test_filter_cuts_train_split_only_to_fit_on_it(tmp_path, baseline, code):
+    # 0.01 of 100 rows is a one-row train split, too short to fit on
+    dataset, _ = simulate(SimulationConfig(T=100, n=2, sigma2=0.5, eta2=1.0, seed=18))
+    argv = ["filter", "--input", dataset_file(tmp_path, dataset), "--train-fraction", "0.01", "--baseline"]
+    exit_code, out, err = run_cli(argv + baseline)
+    assert exit_code == code
+    if code == 0:
+        aggregate = read_aggregate(out)
+        assert (aggregate["train_count"], aggregate["test_count"]) == (1, 99)
+    else:
+        assert out == ""
+        assert err == "stve: invalid arguments: --train-fraction leaves fewer than 2 observed rows in the train split\n"
 
 
 def test_moving_average_centered_window():

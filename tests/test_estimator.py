@@ -23,7 +23,7 @@ from stve import (
     write_csv,
 )
 from stve.cli import main
-from stve.estimator import spectral_system
+from stve.estimator import GAP_WARN_THRESHOLD, spectral_system
 
 from conftest import make_dataset, moment_equation_check
 
@@ -58,7 +58,6 @@ class TestStveConfig:
         cfg = StveConfig()
         assert cfg.alpha == 0.25
         assert cfg.min_row_norm == 1e-8
-        assert cfg.gap_warn_threshold == 0.05
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
@@ -240,11 +239,22 @@ class TestGapDiagnostic:
         result = estimate(ds)
         funcs = result.functionals
         assert funcs.gap_ratio > 1.8
-        assert funcs.gap_ratio >= 1.0 + StveConfig().gap_warn_threshold
+        assert funcs.gap_ratio >= 1.0 + GAP_WARN_THRESHOLD
         assert not any("gap ratio" in w for w in result.warnings)
         assert result.gap_lower_bound > 0.0
         # with n = 1 and unit rows the bound collapses to the mean inverse mass
         assert result.gap_lower_bound == pytest.approx(funcs.pinv_hs_sq / T, rel=1e-12)
+
+    def test_small_gap_warns(self):
+        # Orthogonal rows u_t = sqrt(lambda_t / t) e_t make the Gram matrix
+        # diag(lambda); with p = 1 the gap ratio is (1/0.98) / mean(1/lambda).
+        lam = np.array([1.0, 1.0, 1.0, 0.98])
+        ds = RegressionDataset(u=np.diag(np.sqrt(lam / np.arange(1, 5))), y=np.ones(4))
+        result = estimate(ds)
+        assert result.functionals.p == 1
+        assert result.functionals.gap_ratio == pytest.approx((1 / 0.98) / np.mean(1 / lam), rel=1e-12)
+        assert 1.0 + 1e-12 < result.functionals.gap_ratio < 1.0 + GAP_WARN_THRESHOLD
+        assert "gap ratio 1.015228 below 1 + 0.05; estimates may be unstable" in result.warnings
 
     def test_estimate_reports_same_bound(self, rng):
         # the reported bound is the row-norm formula
@@ -297,22 +307,6 @@ class TestSpectralSystem:
         write_csv(make_dataset(rng, 60, 3, missing=(7, 30)), str(path))
         assert main(["spectrum", "--input", str(path), "--out", str(tmp_path / "spectrum.csv")]) == 0
         assert (len(eigh_calls), len(eigvalsh_calls)) == (0, 1)
-
-    def test_values_only_then_estimate_decomposes_once(self, rng, eigh_calls, eigvalsh_calls):
-        ds = make_dataset(rng, 60, 3)
-        assert spectral_system(ds, vectors=False)[2].vectors is None
-        estimate(ds)
-        mle_fit(ds)
-        full = spectral_system(ds)[2]
-        assert full.vectors is not None
-        assert spectral_system(ds, vectors=False)[2] is full
-        assert (len(eigh_calls), len(eigvalsh_calls)) == (1, 1)
-
-    def test_full_spectrum_serves_values_only(self, rng, eigh_calls, eigvalsh_calls):
-        ds = make_dataset(rng, 60, 3)
-        full = spectral_system(ds)[2]
-        assert spectral_system(ds, vectors=False)[2] is full
-        assert (len(eigh_calls), len(eigvalsh_calls)) == (1, 0)
 
     def test_cached_spectrum_dies_with_its_dataset(self, rng):
         ds = make_dataset(rng, 30, 2)

@@ -196,6 +196,7 @@ def test_array_u_passthrough(rng):
         (dict(T=5, n=1, sigma2=1.0, eta2=1.0, missing=(2, 2)), "distinct"),
         (dict(T=5, n=1, sigma2=1.0, eta2=1.0, seed=-1), "seed"),
         (dict(T=5, n=1, sigma2=1.0, eta2=1.0, seed=1.5), "seed"),
+        (dict(T=10, n=2, sigma2=0.5, eta2=2.0, missing=tuple(range(1, 10))), "2 observed rows"),
     ],
 )
 def test_config_validation(kwargs, match):
