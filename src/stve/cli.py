@@ -132,7 +132,7 @@ def _log_duration(subcommand: str, started: float) -> None:
 
 def _cmd_estimate(args) -> int:
     started = time.perf_counter()
-    config = _checked(StveConfig, alpha=args.alpha, min_row_norm=args.min_row_norm)
+    config = _checked(StveConfig, alpha=args.alpha)
     dataset, digest = _load_dataset(args.input)
     result = estimate(dataset, config)
     manifest = _manifest(
@@ -140,7 +140,6 @@ def _cmd_estimate(args) -> int:
         {
             "input": args.input,
             "alpha": args.alpha,
-            "min_row_norm": args.min_row_norm,
             "format": args.format,
         },
         input_digest=digest,
@@ -454,21 +453,16 @@ def _cmd_filter(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     started = time.perf_counter()
-    config = _checked(StveConfig, min_row_norm=args.min_row_norm)
     dataset, digest = _load_dataset(args.input)
     # Eigenvalues only: no other consumer reads this dataset, so nothing is cached.
-    filtered, _dropped = filter_rows(dataset, config.min_row_norm)
+    filtered, _dropped = filter_rows(dataset)
     spectrum = eigendecompose(gram_matrix(filtered), vectors=False)
     order = spectrum.order
     gamma_sq = spectrum.eigenvalues
     chi_sq = (1.0 / gamma_sq)[::-1]  # descending pseudo-inverse spectrum
     prefix_mean = np.cumsum(chi_sq) / np.arange(1, order + 1)
     full_mean = float(chi_sq.sum() / order)
-    manifest = _manifest(
-        "spectrum",
-        {"input": args.input, "min_row_norm": args.min_row_norm},
-        input_digest=digest,
-    )
+    manifest = _manifest("spectrum", {"input": args.input}, input_digest=digest)
     with _table_file(args.out, [_comment("manifest", manifest)]) as fh:
         write_columns(
             fh,
@@ -489,7 +483,6 @@ def _build_parser() -> _Parser:
     p_est = sub.add_parser("estimate", help="estimate (sigma2, eta2) from a dataset CSV")
     p_est.add_argument("--input", required=True, help="dataset CSV path")
     p_est.add_argument("--alpha", type=float, default=0.25, help="truncation fraction (default 0.25)")
-    p_est.add_argument("--min-row-norm", type=float, default=1e-8, dest="min_row_norm")
     p_est.add_argument("--format", choices=["json", "csv"], default="json")
     p_est.set_defaults(handler=_cmd_estimate)
 
@@ -535,7 +528,6 @@ def _build_parser() -> _Parser:
 
     p_spec = sub.add_parser("spectrum", help="Gram spectrum and truncated means, plot-ready")
     p_spec.add_argument("--input", required=True)
-    p_spec.add_argument("--min-row-norm", type=float, default=1e-8, dest="min_row_norm")
     p_spec.add_argument("--out", help="output CSV path (default stdout)")
     p_spec.set_defaults(handler=_cmd_spectrum)
     return parser

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    DEFAULT_MIN_ROW_NORM,
-    RegressionDataset,
-    filter_rows,
-    gram_matrix,
-)
+from .operators import RegressionDataset, filter_rows, gram_matrix
 from .spectral import GramSpectrum, SpectralFunctionals, eigendecompose, functionals, quadratic_forms
 
 __all__ = [
@@ -51,22 +46,18 @@ class FlatSpectrumError(RuntimeError):
 
 @dataclass(frozen=True)
 class StveConfig:
-    """Estimator knobs.
+    """Estimator knob.
 
     alpha sets the truncation size p = ceil(alpha * T') and min_rows, the
-    fewest filtered rows `estimate` accepts, max(4, ceil(1/alpha)).
-    min_row_norm is the row-filter threshold; rows at or below it are dropped
-    before anything is computed.
+    fewest filtered rows `estimate` accepts, max(4, ceil(1/alpha)).  The row
+    filter takes its threshold from the data (see filter_rows).
     """
 
     alpha: float = 0.25
-    min_row_norm: float = DEFAULT_MIN_ROW_NORM
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must be in (0, 1]")
-        if not (np.isfinite(self.min_row_norm) and self.min_row_norm >= 0.0):
-            raise ValueError("min_row_norm must be finite and non-negative")
 
     @property
     def min_rows(self) -> int:
@@ -105,40 +96,39 @@ def truncation_size(effective_horizon: int, alpha: float) -> int:
     return int(math.ceil(alpha * effective_horizon))
 
 
-# dataset -> {min_row_norm: (filtered, dropped, spectrum)}.  Weak keys free a
-# spectrum with its dataset; no cached value refers back to its key.
+# dataset -> (filtered, dropped, spectrum).  Weak keys free a spectrum with
+# its dataset; no cached value refers back to its key.
 _SYSTEMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def spectral_system(
-    dataset: RegressionDataset,
-    min_row_norm: float = DEFAULT_MIN_ROW_NORM,
-    min_rows: int = 2,
+    dataset: RegressionDataset, min_rows: int = 2
 ) -> tuple[RegressionDataset, np.ndarray, GramSpectrum]:
     """(filtered dataset, dropped time labels, Gram spectrum with
-    eigenvectors), computed once per (dataset, min_row_norm) and shared by
-    every caller; its arrays are read-only.  Raises ValueError when fewer
-    than min_rows rows survive filtering, before any eigendecomposition.
+    eigenvectors), computed once per dataset (see filter_rows for the row
+    rule) and shared by every caller; its arrays are read-only.  Raises
+    ValueError when fewer than min_rows rows survive filtering, before any
+    eigendecomposition.
     """
-    system = _SYSTEMS.get(dataset, {}).get(min_row_norm)
-    filtered, dropped = system[:2] if system is not None else filter_rows(dataset, min_row_norm)
+    system = _SYSTEMS.get(dataset)
+    filtered, dropped = system[:2] if system is not None else filter_rows(dataset)
     if filtered.horizon < min_rows:
         raise ValueError(f"need at least {min_rows} rows after filtering, have {filtered.horizon}")
     if system is None:
         dropped.setflags(write=False)
-        system = (filtered, dropped, eigendecompose(gram_matrix(filtered)))
-        _SYSTEMS.setdefault(dataset, {})[min_row_norm] = system
+        system = _SYSTEMS[dataset] = (filtered, dropped, eigendecompose(gram_matrix(filtered)))
     return system
 
 
 def estimate(dataset: RegressionDataset, config: StveConfig | None = None) -> StveEstimate:
     """Estimate (sigma^2, eta^2) from one trajectory.
 
-    Rows are filtered first (unobserved or negligible-norm rows are dropped;
-    surviving rows keep their original time labels, so missing responses cost
-    observations but never re-time the hidden walk).  The Gram matrix of the
-    reduced system is eigendecomposed (see spectral_system) and the two moment
-    identities are solved.  A negative raw component is clamped to zero and
+    Rows are filtered first (unobserved rows and rows of negligible Gram
+    diagonal are dropped, see filter_rows; surviving rows keep their original
+    time labels, so missing responses cost observations but never re-time
+    the hidden walk).  The Gram matrix of the reduced system is
+    eigendecomposed (see spectral_system) and the two moment identities are
+    solved.  A negative raw component is clamped to zero and
     the other unknown re-solved from the full-spectrum identity.
 
     Raises ValueError when fewer than max(4, ceil(1/alpha)) rows survive
@@ -146,7 +136,7 @@ def estimate(dataset: RegressionDataset, config: StveConfig | None = None) -> St
     (flat spectrum, the system is singular and estimation is impossible).
     """
     config = config if config is not None else StveConfig()
-    filtered, dropped, spectrum = spectral_system(dataset, config.min_row_norm, config.min_rows)
+    filtered, dropped, spectrum = spectral_system(dataset, config.min_rows)
     effective = filtered.horizon
     p = truncation_size(effective, config.alpha)
     funcs = functionals(spectrum, p)

@@ -10,8 +10,8 @@ whose Gram matrix has the closed form
 Everything downstream (spectra, estimator functionals) is computed from this
 T' x T' Gram matrix; the T' x (T*n) system matrix itself is never
 materialized.  Row deletion (missing observations,
-negligible-norm rows) keeps the original 1-based time labels, so deleting a
-row never re-times the walk.
+rows of negligible Gram diagonal) keeps the original 1-based time labels, so
+deleting a row never re-times the walk.
 """
 from __future__ import annotations
 
@@ -20,14 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DEFAULT_MIN_ROW_NORM",
     "RegressionDataset",
     "gram_matrix",
     "filter_rows",
     "select_rows",
 ]
-
-DEFAULT_MIN_ROW_NORM = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,17 +127,25 @@ def select_rows(dataset: RegressionDataset, rows: np.ndarray) -> RegressionDatas
     )
 
 
-def filter_rows(
-    dataset: RegressionDataset, min_norm: float = DEFAULT_MIN_ROW_NORM
-) -> tuple[RegressionDataset, np.ndarray]:
-    """Drop unobserved rows and rows with ||u_t|| <= min_norm.
+def filter_rows(dataset: RegressionDataset) -> tuple[RegressionDataset, np.ndarray]:
+    """Drop unobserved rows and observed rows of negligible Gram diagonal.
+
+    Row k's Gram diagonal is t_k ||u_k||^2.  Since the smallest Gram
+    eigenvalue is at most the smallest diagonal and the largest at least the
+    largest diagonal, a row whose diagonal is at most T'^(3/2) eps times the
+    largest (T' observed rows, eps the float64 epsilon) pins the smallest
+    eigenvalue where the rounding error of a dense eigendecomposition decides
+    its inverse; such rows are dropped.  The rule reads u and the time labels,
+    never y, and does not change when u is rescaled.
 
     Returns the filtered dataset (original time labels kept) and the original
     time labels of the dropped rows.  Raises if fewer than 2 rows survive.
     """
-    if not (min_norm >= 0.0 and np.isfinite(min_norm)):
-        raise ValueError("min_norm must be finite and non-negative")
-    keep = dataset.observed & (dataset.row_norms() > min_norm)
+    observed = dataset.observed
+    # einsum: a row too large to square becomes inf without a numpy warning.
+    diag = np.where(observed, dataset.time_index * np.einsum("ij,ij->i", dataset.u, dataset.u), 0.0)
+    floor = int(observed.sum()) ** 1.5 * np.finfo(np.float64).eps * diag.max()
+    keep = observed & (diag > floor)
     if int(keep.sum()) < 2:
         raise ValueError("fewer than 2 rows remain after row filtering")
     dropped = dataset.time_index[~keep].copy()

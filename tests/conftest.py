@@ -6,7 +6,6 @@ import pytest
 
 from stve import NoiseSpec, RegressionDataset, functionals, truncation_size
 from stve.estimator import spectral_system
-from stve.operators import DEFAULT_MIN_ROW_NORM
 
 
 @pytest.fixture
@@ -142,7 +141,6 @@ def moment_equation_check(
     observation_noise: NoiseSpec,
     replications: int,
     alpha: float = 0.25,
-    min_row_norm: float = DEFAULT_MIN_ROW_NORM,
     seed: int = 0,
 ) -> MomentCheck:
     """Simulate fresh responses on the dataset's design and compare the sample
@@ -154,7 +152,7 @@ def moment_equation_check(
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
-    filtered, _dropped, spectrum = spectral_system(dataset, min_row_norm)
+    filtered, _dropped, spectrum = spectral_system(dataset)
     effective = filtered.horizon
     p = truncation_size(effective, alpha)
     funcs = functionals(spectrum, p)

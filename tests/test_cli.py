@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from stve import (
 from stve.cli import _moving_average, _parse_missing, _stve_point_estimator, main
 from stve.simulator import benchmark_table
 
-from conftest import make_dataset
+from conftest import brute_force_pinv_quantities, make_dataset
 
 
 def child_env(base):
@@ -198,7 +199,7 @@ PIPELINE_DIGESTS = {
     "kalman": "7f531eb7928cfa305e0fbff4abed6b31b73a01c732b3248ccc926c59679241e2",
     "og": "e59877a0a2327c2ee5fd51cf0b64ebec33b0e3cee2107f72244c952ab5690200",
     "stationary": "88f72cc03be5b55019f2253e9b8773fdcbfe45166f507e075cb7ce44882fd9a1",
-    "spectrum": "987eaf4bc5731608ae8f5b4ffa35a44b541e767ae130e345e7cb78ade2d887bc",
+    "spectrum": "a8fadd35dc73a4051dc49c5c686934c42e660a4fe4bfcd09793cbc64e5391d45",
 }
 
 
@@ -257,6 +258,12 @@ def test_missing_file_exits_1(tmp_path):
     assert code == 1
 
 
+def eight_row_lines():
+    """Header and 8 rows t, 0.1 t, (1, -0.5 t): the base file of the
+    exit-code tests, row t on line t + 1."""
+    return ["t,y,u_1,u_2"] + [f"{t},{0.1 * t!r},1.0,{-0.5 * t!r}" for t in range(1, 9)]
+
+
 def _oom(_dataset):
     raise MemoryError("Unable to allocate 7.45 TiB for an array")
 
@@ -272,23 +279,16 @@ def _oom(_dataset):
         (["spectrum"], None, "stve.cli.gram_matrix", 2, "out of memory"),
         (["estimate", "--alpha", "0"], None, None, 3, "alpha must be in (0, 1]"),
         (["estimate", "--alpha", "1.5"], None, None, 3, "alpha must be in (0, 1]"),
-        (["estimate", "--min-row-norm", "-1"], None, None, 3, "min_row_norm"),
-        # a row of norm 2e-8 survives the row filter, and its eigenvalue (0.11
-        # eps times the largest) is rounding noise that comes out positive
-        (["estimate"], "2,0.2,2e-08,0.0", None, 2, "numerically singular"),
-        (["spectrum", "--min-row-norm", "-1"], None, None, 3, "min_row_norm"),
+        # beside a row of 1e12 every other row's Gram diagonal is negligible,
+        # so the row filter keeps that row alone
+        (["estimate"], "2,0.2,1e12,0.0", None, 2, "fewer than 2 rows remain after row filtering"),
+        (["spectrum"], "2,0.2,1e12,0.0", None, 2, "fewer than 2 rows remain after row filtering"),
+        # a row too large to square is filtered without a numpy overflow warning
+        (["estimate"], "2,0.2,1e200,0.0", None, 2, "fewer than 2 rows remain after row filtering"),
         (["filter", "--baseline", "stationary", "--window", "0"], None, None, 3, "--window"),
         (["filter", "--auto", "--alpha", "0"], None, None, 3, "alpha must be in (0, 1]"),
         (["filter", "--sigma2", "-1", "--eta2", "1"], None, None, 3, "sigma2"),
-        # a row of norm 1e-100 leaves an eigenvalue near 1e-200, far below the
-        # rounding error of the others (about 1e-14), which here comes out negative
-        (["spectrum", "--min-row-norm", "0"], "2,0.2,1e-100,0.0", None, 2, "numerically singular"),
-        (["estimate", "--min-row-norm", "0"], "2,0.2,1e-100,0.0", None, 2, "numerically singular"),
-        (["spectrum"], "2,0.2,2e-08,0.0", None, 2, "numerically singular"),
-        # eigvalsh resolves the smallest eigenvalue of this graded matrix to
-        # 1.5e-9 eps times the largest, eigh to a negative number: both refuse it
-        (["estimate"], "2,0.2,1e12,0.0", None, 2, "numerically singular"),
-        (["spectrum"], "2,0.2,1e12,0.0", None, 2, "numerically singular"),
+        (["spectrum"], "2,0.2,1e200,0.0", None, 2, "fewer than 2 rows remain after row filtering"),
         pytest.param(
             ["estimate"], "2,0.2,1.0,-0." + "0" * 200_000 + "1", None, 1, "line 3: field larger than field limit",
             id="field-limit",
@@ -300,19 +300,52 @@ def _oom(_dataset):
     ],
 )
 def test_failure_exit_codes(tmp_path, monkeypatch, argv, line_3, patch, code, message):
-    lines = ["t,y,u_1,u_2"] + [f"{t},{0.1 * t!r},1.0,{-0.5 * t!r}" for t in range(1, 9)]
+    lines = eight_row_lines()
     if line_3 is not None:
         lines[2] = line_3
     path = tmp_path / "data.csv"
     path.write_text("\n".join(lines) + "\n")
     if patch is not None:
         monkeypatch.setattr(patch, _oom)
-    exit_code, out, err = run_cli(argv + ["--input", str(path)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exit_code, out, err = run_cli(argv + ["--input", str(path)])
     assert exit_code == code
     assert out == ""
     assert message in err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    assert not caught  # a warning would print one more stderr line
+
+
+@pytest.mark.parametrize(
+    "line_3", ["2,0.2,1e-7,0.0", "2,0.2,2e-08,0.0", "2,0.2,1e-100,0.0"], ids=lambda v: v.split(",")[2]
+)
+def test_negligible_row_is_dropped(tmp_path, line_3):
+    # Row 2's Gram diagonal is below 8^1.5 eps times the largest, so its
+    # eigenvalue would be rounding noise that decides pinv_hs_sq.  The row
+    # goes, and both subcommands answer as they do for the file without it.
+    lines = eight_row_lines()
+    lines[2] = line_3
+    with_row, without_row = tmp_path / "with.csv", tmp_path / "without.csv"
+    with_row.write_text("\n".join(lines) + "\n")
+    without_row.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+    payloads, tables = [], []
+    for path in (with_row, without_row):
+        code, out, _err = run_cli(["estimate", "--input", str(path)])
+        assert code == 0
+        payloads.append(json.loads(out))
+        code, out, _err = run_cli(["spectrum", "--input", str(path)])
+        assert code == 0
+        tables.append(parse_table(out)[1:])
+    assert [p.pop("dropped") for p in payloads] == [[2], []]
+    assert [p.pop("dropped_count") for p in payloads] == [1, 0]
+    assert [p.pop("manifest")["config"]["input"] for p in payloads] == [str(with_row), str(without_row)]
+    assert payloads[0] == payloads[1]
+    assert tables[0] == tables[1]
+    kept = read_csv(str(without_row))
+    reference = brute_force_pinv_quantities(kept, kept.y, payloads[0]["p"])
+    assert payloads[0]["pinv_hs_sq"] == pytest.approx(reference["hs_R_sq"], rel=1e-8)
 
 
 NON_UTF8_CSV = b"t,y,u_1\n1,1.0,0.1\n2,\xff,0.2\n"
@@ -357,7 +390,7 @@ def test_flat_spectrum_exits_2(tmp_path):
         ["simulate", "--T", "10"],
         # option values are checked before the (absent) input is opened
         ["estimate", "--input", "absent.csv", "--alpha", "0"],
-        ["spectrum", "--input", "absent.csv", "--min-row-norm", "-1"],
+        ["filter", "--input", "absent.csv", "--baseline", "og", "--train-fraction", "1.5"],
         ["filter", "--input", "absent.csv", "--baseline", "og", "--window", "0"],
         ["simulate", "--T", "10", "--n", "1", "--sigma2", "1", "--eta2", "1", "--seed", "-1"],
         ["simulate", "--T", "10", "--n", "2", "--sigma2", "0.5", "--eta2", "2", "--missing", "1:9"],

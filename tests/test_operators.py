@@ -172,7 +172,7 @@ class TestDifferenceSpectrum:
 class TestFilterRows:
     def test_identity_when_clean(self, rng):
         ds = make_dataset(rng, 8, 2)
-        out, dropped = filter_rows(ds, min_norm=0.0)
+        out, dropped = filter_rows(ds)
         assert dropped.size == 0
         assert np.array_equal(out.time_index, ds.time_index)
         assert np.allclose(out.u, ds.u)
@@ -191,9 +191,23 @@ class TestFilterRows:
         assert np.array_equal(dropped, [2])
         assert np.array_equal(out.time_index, [1, 3])
 
+    def test_floor_is_relative_to_the_largest_diagonal(self):
+        # diagonals t ||u_t||^2 are 1, 2 x^2 and 3; the floor is 3^1.5 eps 3
+        floor = 3.0**1.5 * np.finfo(np.float64).eps * 3.0
+        for factor, dropped_labels in ((0.5, [2]), (2.0, [])):
+            x = np.sqrt(factor * floor / 2.0)
+            ds = RegressionDataset(u=np.array([[1.0], [x], [1.0]]), y=np.zeros(3))
+            assert filter_rows(ds)[1].tolist() == dropped_labels
+
+    def test_uniformly_tiny_rows_are_kept(self, rng):
+        ds = make_dataset(rng, 8, 2, u=1e-150 * rng.normal(size=(8, 2)))
+        out, dropped = filter_rows(ds)
+        assert dropped.size == 0
+        assert out.horizon == 8
+
     def test_all_rows_below_threshold_errors(self):
-        ds = RegressionDataset(u=np.full((3, 1), 1e-12), y=np.zeros(3))
-        with pytest.raises(ValueError):
+        ds = RegressionDataset(u=np.zeros((3, 1)), y=np.zeros(3))
+        with pytest.raises(ValueError, match="fewer than 2 rows remain"):
             filter_rows(ds)
 
     def test_select_rows_keeps_labels(self, rng):
