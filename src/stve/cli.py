@@ -92,14 +92,11 @@ def _load_dataset(path: str):
     """Parse a dataset from a path or stdin ('-') in one streaming pass.
 
     Returns (dataset, digest).  The digest is the sha256 of the lines as the
-    parser reads them; newline="" keeps those equal to the file's bytes.
+    parser reads them; read_csv opens a path with newline="", which keeps
+    those equal to the file's bytes.
     """
     digest = hashlib.sha256()
-    if path == "-":
-        dataset = read_csv(sys.stdin, digest=digest)
-    else:
-        with open(path, encoding="utf-8", newline="") as fh:
-            dataset = read_csv(fh, digest=digest)
+    dataset = read_csv(sys.stdin if path == "-" else path, digest=digest)
     return dataset, "sha256:" + digest.hexdigest()
 
 
@@ -204,33 +201,22 @@ def _parse_missing(spec: str | None, horizon: int) -> tuple[int, ...]:
     return tuple(indices)
 
 
-def _parse_vector(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise _UsageError(f"bad {flag} value {text!r}") from None
-
-
 def _cmd_simulate(args) -> int:
     started = time.perf_counter()
     missing = _parse_missing(args.missing, args.T)
-    u_kind = args.u
-    u_constant = None
-    u_matrix = None
-    if u_kind == "constant":
-        if args.u_value is None:
-            raise _UsageError("--u constant requires --u-value")
-        u_constant = _parse_vector(args.u_value, "--u-value")
-    if u_kind == "file":
-        if args.u_file is None:
-            raise _UsageError("--u file requires --u-file")
+    u = None
+    if args.u_value is not None:
         try:
-            u_matrix = np.loadtxt(args.u_file, delimiter=",", ndmin=2)
+            u = [float(v) for v in args.u_value.split(",")]
+        except ValueError:
+            raise _UsageError(f"bad --u-value value {args.u_value!r}") from None
+    elif args.u_file is not None:
+        try:
+            u = np.loadtxt(args.u_file, delimiter=",", ndmin=2)
         except OSError as exc:
             raise _InputError(f"cannot read u file: {exc}") from None
         except ValueError as exc:
             raise _InputError(f"cannot parse u file: {exc}") from None
-        u_kind = "array"
     config = _checked(
         SimulationConfig,
         T=args.T,
@@ -238,9 +224,7 @@ def _cmd_simulate(args) -> int:
         sigma2=args.sigma2,
         eta2=args.eta2,
         noise_family=args.noise,
-        u_kind=u_kind,
-        u_constant=u_constant,
-        u_matrix=u_matrix,
+        u=u,
         seed=args.seed,
         missing=missing,
     )
@@ -253,7 +237,6 @@ def _cmd_simulate(args) -> int:
             "sigma2": args.sigma2,
             "eta2": args.eta2,
             "noise": args.noise,
-            "u": args.u,
             "u_value": args.u_value,
             "u_file": args.u_file,
             "seed": args.seed,
@@ -492,9 +475,9 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--sigma2", type=float, required=True)
     p_sim.add_argument("--eta2", type=float, required=True)
     p_sim.add_argument("--noise", choices=list(NOISE_FAMILIES), default="gaussian")
-    p_sim.add_argument("--u", choices=["gaussian", "constant", "file"], default="gaussian")
-    p_sim.add_argument("--u-value", dest="u_value", help="comma-separated vector for --u constant")
-    p_sim.add_argument("--u-file", dest="u_file", help="headerless CSV of shape (T, n) for --u file")
+    u_source = p_sim.add_mutually_exclusive_group()  # neither: iid standard normal rows
+    u_source.add_argument("--u-value", dest="u_value", help="comma-separated row of length n used at every step")
+    u_source.add_argument("--u-file", dest="u_file", help="headerless CSV of shape (T, n) giving the rows")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--missing", help="1-based indices to mask, e.g. '10:20,25'")
     p_sim.add_argument("--output", help="output CSV path (default stdout)")

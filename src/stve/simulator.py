@@ -2,7 +2,7 @@
 
 Data generation is bitwise reproducible from the config seed: the generator
 is numpy's default PRNG seeded through a SeedSequence, and draws happen in a
-fixed order (observation vectors if random, then process noise, then
+fixed order (feature rows if none are given, then process noise, then
 observation noise).  Replications derive independent child streams by
 spawning the base SeedSequence, so results do not depend on execution order.
 
@@ -30,8 +30,6 @@ __all__ = [
 ]
 
 NOISE_FAMILIES = ("gaussian", "rademacher", "uniform")
-
-U_KINDS = ("gaussian", "constant", "array")
 
 # Point estimator protocol: dataset -> (sigma2_hat, eta2_hat).
 Estimator = Callable[[RegressionDataset], tuple[float, float]]
@@ -70,11 +68,11 @@ class NoiseSpec:
 class SimulationConfig:
     """Config for one simulated trajectory.
 
-    u_kind selects the observation-vector process: "gaussian" (iid standard
-    normal rows), "constant" (u_constant repeated) or "array" (u_matrix
-    passed through).  missing lists distinct 1-based time indices whose
-    responses are masked; at least 2 rows stay observed.  seed is a
-    non-negative integer.
+    u gives the feature rows: None draws iid standard normal rows, a finite
+    row of length n is used at every step, and a finite (T, n) array is used
+    as given.  missing lists distinct 1-based time indices whose responses
+    are masked; at least 2 rows stay observed.  seed is a non-negative
+    integer.
     """
 
     T: int
@@ -82,9 +80,7 @@ class SimulationConfig:
     sigma2: float
     eta2: float
     noise_family: str = "gaussian"
-    u_kind: str = "gaussian"
-    u_constant: np.ndarray | None = None
-    u_matrix: np.ndarray | None = None
+    u: np.ndarray | None = None
     seed: int = 0
     missing: tuple[int, ...] = ()
 
@@ -101,20 +97,12 @@ class SimulationConfig:
             raise ValueError(f"unknown noise family {self.noise_family!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.u_kind not in U_KINDS:
-            raise ValueError(f"unknown u_kind {self.u_kind!r}")
-        if self.u_kind == "constant":
-            vec = np.array(self.u_constant, dtype=np.float64).reshape(-1)
-            if vec.shape[0] != self.n or not np.all(np.isfinite(vec)):
-                raise ValueError("u_constant must be a finite vector of length n")
-            vec.setflags(write=False)
-            object.__setattr__(self, "u_constant", vec)
-        if self.u_kind == "array":
-            mat = np.array(self.u_matrix, dtype=np.float64)
-            if mat.shape != (self.T, self.n) or not np.all(np.isfinite(mat)):
-                raise ValueError("u_matrix must be a finite array of shape (T, n)")
-            mat.setflags(write=False)
-            object.__setattr__(self, "u_matrix", mat)
+        if self.u is not None:
+            u = np.array(self.u, dtype=np.float64)
+            if u.shape not in ((self.n,), (self.T, self.n)) or not np.all(np.isfinite(u)):
+                raise ValueError("u must be a finite row of length n or a finite array of shape (T, n)")
+            u.setflags(write=False)
+            object.__setattr__(self, "u", u)
         missing = tuple(sorted(int(t) for t in self.missing))
         if missing and (missing[0] < 1 or missing[-1] > self.T):
             raise ValueError("missing indices must lie in [1, T]")
@@ -123,14 +111,6 @@ class SimulationConfig:
         if self.T - len(missing) < 2:
             raise ValueError("missing indices must leave at least 2 observed rows")
         object.__setattr__(self, "missing", missing)
-
-
-def _draw_u(config: SimulationConfig, rng: np.random.Generator) -> np.ndarray:
-    if config.u_kind == "gaussian":
-        return rng.standard_normal((config.T, config.n))
-    if config.u_kind == "constant":
-        return np.tile(config.u_constant, (config.T, 1))
-    return np.array(config.u_matrix)
 
 
 def simulate(
@@ -146,7 +126,10 @@ def simulate(
     if seed_sequence is None:
         seed_sequence = np.random.SeedSequence(config.seed)
     rng = np.random.default_rng(seed_sequence)
-    u = _draw_u(config, rng)
+    if config.u is None:
+        u = rng.standard_normal((config.T, config.n))
+    else:
+        u = np.broadcast_to(config.u, (config.T, config.n)).copy()
     steps = NoiseSpec(config.noise_family, config.sigma2).sample(rng, (config.T, config.n))
     states = np.cumsum(steps, axis=0)
     noise = NoiseSpec(config.noise_family, config.eta2).sample(rng, config.T)

@@ -195,11 +195,11 @@ def test_stdin_and_input_path_give_one_input_digest(tmp_path):
 # sha256 of each table of a small pipeline, as the code writes it today; a
 # change to parsing, arithmetic or formatting that moves any byte shows here.
 PIPELINE_DIGESTS = {
-    "simulate": "6fe116c7fe0f5c52d24467352f54fc000edc1a28b98d84ffb61740d80e9d683c",
-    "kalman": "7f531eb7928cfa305e0fbff4abed6b31b73a01c732b3248ccc926c59679241e2",
-    "og": "e59877a0a2327c2ee5fd51cf0b64ebec33b0e3cee2107f72244c952ab5690200",
-    "stationary": "88f72cc03be5b55019f2253e9b8773fdcbfe45166f507e075cb7ce44882fd9a1",
-    "spectrum": "a8fadd35dc73a4051dc49c5c686934c42e660a4fe4bfcd09793cbc64e5391d45",
+    "simulate": "b54c996bf13c984ed653759d7185de3dec1757cce213f9129e773f9a780382af",
+    "kalman": "98ba1ba15c72a34f783d73787ba9ed56739c1213d0a212b0d3f1949ad1dd583b",
+    "og": "5a5f4bc17f50c1b72a4de511dce69711fb55d1891f14ebd89bc557a5613fde24",
+    "stationary": "fcf002c2f6e6eb31d9184d18cfb634fd65e51014c64c318e3dc4f5c1210f9aa9",
+    "spectrum": "1a2fb810b180289f2b226e14423ad0c700b8f128dd4a9337c60aff5e6ced50e1",
 }
 
 
@@ -297,6 +297,8 @@ def _oom(_dataset):
             ["estimate"], "99999999999999999999,0.2,1.0,-1.0", None, 1, "line 3: t value '99999999999999999999'",
             id="t-beyond-int64",
         ),
+        (["filter", "--baseline", "og", "--train-fraction", "0.01"], None, None, 3,
+         "--train-fraction leaves an empty split"),
     ],
 )
 def test_failure_exit_codes(tmp_path, monkeypatch, argv, line_3, patch, code, message):
@@ -373,6 +375,27 @@ def test_non_utf8_input_exits_1(tmp_path, source):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (["simulate", "--T", "2", "--n", "2", "--sigma2", "1", "--eta2", "1", "--u-file"], None, "cannot read u file"),
+        (["simulate", "--T", "2", "--n", "2", "--sigma2", "1", "--eta2", "1", "--u-file"], "1,2\nx,3\n",
+         "cannot parse u file"),
+        (["benchmark", "--config"], None, "cannot read config file"),
+        (["benchmark", "--config"], '{"reps": 2', "cannot parse config file"),
+    ],
+    ids=["u-absent", "u-cell-x", "config-absent", "config-not-json"],
+)
+def test_unreadable_side_file_exits_1(tmp_path, argv, content, message):
+    path = tmp_path / "side"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(argv + [str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"stve: bad input: {message}: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_flat_spectrum_exits_2(tmp_path):
     path = tmp_path / "flat.csv"
     path.write_text(FLAT_CSV)
@@ -395,6 +418,13 @@ def test_flat_spectrum_exits_2(tmp_path):
         ["filter", "--input", "absent.csv", "--baseline", "og", "--window", "0"],
         ["simulate", "--T", "10", "--n", "1", "--sigma2", "1", "--eta2", "1", "--seed", "-1"],
         ["simulate", "--T", "10", "--n", "2", "--sigma2", "0.5", "--eta2", "2", "--missing", "1:9"],
+        ["simulate", "--T", "10", "--n", "1", "--sigma2", "1", "--eta2", "1", "--missing", "5:2"],
+        ["simulate", "--T", "10", "--n", "1", "--sigma2", "1", "--eta2", "1", "--missing", "a:b"],
+        ["simulate", "--T", "10", "--n", "1", "--sigma2", "1", "--eta2", "1", "--missing", "x"],
+        ["simulate", "--T", "10", "--n", "2", "--sigma2", "1", "--eta2", "1", "--u-value", "1,x"],
+        # the rows have one source, and a bare --u is an ambiguous prefix
+        ["simulate", "--T", "10", "--n", "2", "--sigma2", "1", "--eta2", "1", "--u-value", "1,2", "--u-file", "u.csv"],
+        ["simulate", "--T", "10", "--n", "2", "--sigma2", "1", "--eta2", "1", "--u", "constant", "--u-value", "1,2"],
     ],
 )
 def test_argument_errors_exit_3(argv):
@@ -474,7 +504,7 @@ def test_simulate_constant_u(tmp_path):
     out_path = tmp_path / "const.csv"
     code, _out, _err = run_cli(
         ["simulate", "--T", "8", "--n", "2", "--sigma2", "0.5", "--eta2", "0.5",
-         "--u", "constant", "--u-value", "1.0,-2.0", "--output", str(out_path)]
+         "--u-value", "1.0,-2.0", "--output", str(out_path)]
     )
     assert code == 0
     dataset = read_csv(str(out_path))
@@ -488,7 +518,7 @@ def test_simulate_u_from_file(tmp_path, rng):
     out_path = tmp_path / "sim.csv"
     code, _out, _err = run_cli(
         ["simulate", "--T", "6", "--n", "2", "--sigma2", "0.5", "--eta2", "0.5",
-         "--u", "file", "--u-file", str(u_path), "--output", str(out_path)]
+         "--u-file", str(u_path), "--output", str(out_path)]
     )
     assert code == 0
     dataset = read_csv(str(out_path))
@@ -586,8 +616,8 @@ def test_benchmark_unknown_config_key_exits_3(tmp_path):
         ["benchmark", "--T-grid", "10,14,20", "--reps", "2", "--seed", "-1"],
         ["benchmark", "--T-grid", "20,20,20", "--reps", "3", "--estimators", "stve"],
         ["benchmark", "--T-grid", "10,10,20", "--reps", "3", "--estimators", "stve"],
-        # A dict stands for a --config file with that content: a float or a
-        # bool is not an integer, and is not truncated into one.
+        # A dict or a list stands for a --config file with that content: a
+        # float or a bool is not an integer, and is not truncated into one.
         ["benchmark", "--config", {"t_grid": [10.9, 14, 20], "reps": 2}],
         ["benchmark", "--config", {"t_grid": [10, 14, 20], "reps": 2.5}],
         ["benchmark", "--config", {"t_grid": [10, 14, 20], "reps": 2, "n": 2.7}],
@@ -597,12 +627,13 @@ def test_benchmark_unknown_config_key_exits_3(tmp_path):
         # stve needs max(4, ceil(1/alpha)) rows at the shortest horizon.
         ["benchmark", "--alpha", "0.01", "--T-grid", "50,60,70", "--reps", "2", "--estimators", "stve"],
         ["benchmark", "--T-grid", "3,4,5", "--reps", "2"],
+        ["benchmark", "--config", [10, 14, 20]],
     ],
 )
 def test_benchmark_validation_exits_3(argv, tmp_path):
     config_path = tmp_path / "config.json"
     for k, arg in enumerate(argv):
-        if isinstance(arg, dict):
+        if isinstance(arg, (dict, list)):
             config_path.write_text(json.dumps(arg))
             argv = [*argv[:k], str(config_path), *argv[k + 1 :]]
     code, _out, _err = run_cli(argv)

@@ -71,6 +71,7 @@ def test_comment_lines_skipped():
         ("t,y,u_1\n2,1.0,0.1\n1,2.0,0.2\n", "increasing"),
         ("t,y,u_1\n0,1.0,0.1\n", "1-based"),
         ("t,y,u_1\n1,1.0,oops\n", "u_1"),
+        ("t,y,u_2,u_1\n1,1.0,0.1,0.2\n", "in order"),
     ],
 )
 def test_malformed_input_raises(text, fragment):

@@ -163,9 +163,7 @@ class TestEstimate:
     def test_monte_carlo_concentration_no_observation_noise(self):
         # constant scalar design, sigma2 = 1, eta2 = 0: averaged estimates
         # concentrate near the truth (margins ~3x the observed mean errors)
-        config = SimulationConfig(
-            T=200, n=1, sigma2=1.0, eta2=0.0, u_kind="constant", u_constant=[1.0], seed=77
-        )
+        config = SimulationConfig(T=200, n=1, sigma2=1.0, eta2=0.0, u=[1.0], seed=77)
 
         def point(ds):
             r = estimate(ds)

@@ -1,5 +1,6 @@
 """Noise families, trajectory generation, and the replication harness."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,19 +163,17 @@ def test_missing_pattern_masks_one_based_indices():
 
 def test_constant_u_rows():
     vec = np.array([1.0, -2.0])
-    dataset, _ = simulate(
-        SimulationConfig(
-            T=12, n=2, sigma2=0.5, eta2=0.5, u_kind="constant", u_constant=vec, seed=6
-        )
-    )
+    config = SimulationConfig(T=12, n=2, sigma2=0.5, eta2=0.5, u=vec, seed=6)
+    dataset, _ = simulate(config)
     assert np.array_equal(dataset.u, np.tile(vec, (12, 1)))
+    # benchmark_table sets T per horizon; a row carries over to any T
+    dataset, _ = simulate(replace(config, T=7))
+    assert np.array_equal(dataset.u, np.tile(vec, (7, 1)))
 
 
 def test_array_u_passthrough(rng):
     mat = rng.normal(size=(9, 2))
-    dataset, _ = simulate(
-        SimulationConfig(T=9, n=2, sigma2=0.5, eta2=0.5, u_kind="array", u_matrix=mat, seed=8)
-    )
+    dataset, _ = simulate(SimulationConfig(T=9, n=2, sigma2=0.5, eta2=0.5, u=mat, seed=8))
     assert np.array_equal(dataset.u, mat)
 
 
@@ -186,11 +185,11 @@ def test_array_u_passthrough(rng):
         (dict(T=5, n=1, sigma2=-1.0, eta2=1.0), "sigma2"),
         (dict(T=5, n=1, sigma2=1.0, eta2=np.nan), "eta2"),
         (dict(T=5, n=1, sigma2=1.0, eta2=1.0, noise_family="levy"), "family"),
-        (dict(T=5, n=1, sigma2=1.0, eta2=1.0, u_kind="spline"), "u_kind"),
-        (dict(T=5, n=2, sigma2=1.0, eta2=1.0, u_kind="constant", u_constant=[1.0]), "u_constant"),
-        (dict(T=5, n=3, sigma2=1.0, eta2=1.0, u_kind="quadratic"), "u_kind"),
-        (dict(T=5, n=1, sigma2=1.0, eta2=1.0, u_kind="array", u_matrix=np.full((5, 1), np.nan)), "u_matrix"),
-        (dict(T=5, n=2, sigma2=1.0, eta2=1.0, u_kind="array", u_matrix=np.ones((4, 2))), "u_matrix"),
+        (dict(T=5, n=2, sigma2=1.0, eta2=1.0, u=[1.0, np.inf]), "u must be"),
+        (dict(T=5, n=2, sigma2=1.0, eta2=1.0, u=[1.0]), "u must be"),
+        (dict(T=5, n=1, sigma2=1.0, eta2=1.0, u=1.0), "u must be"),
+        (dict(T=5, n=1, sigma2=1.0, eta2=1.0, u=np.full((5, 1), np.nan)), "u must be"),
+        (dict(T=5, n=2, sigma2=1.0, eta2=1.0, u=np.ones((4, 2))), "u must be"),
         (dict(T=5, n=1, sigma2=1.0, eta2=1.0, missing=(0,)), "missing"),
         (dict(T=5, n=1, sigma2=1.0, eta2=1.0, missing=(6,)), "missing"),
         (dict(T=5, n=1, sigma2=1.0, eta2=1.0, missing=(2, 2)), "distinct"),
